@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race bench bench-packed bench-wire bench-encrypt bench-payload bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
+.PHONY: build test check race bench bench-packed bench-encrypt bench-payload bench-churn bench-mont microbench experiments fuzz cover obs-smoke soak clean
 
 build:
 	$(GO) build ./...
@@ -8,12 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# Formatting and vet first, then the full suite, a wire-codec fuzz smoke,
-# and the live observability surface — the pre-commit gate.
+# Formatting and vet first, then the full suite, the ledger benchmark's own
+# short tests (it is a separate module compiled against this tree's public
+# names), a wire-codec fuzz smoke, and the live observability surface — the
+# pre-commit gate.
 check:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd ledgerbench && GOWORK=off $(GO) test -short .
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzWire$$' -fuzztime=5s
 	$(GO) test ./internal/wire -run='^$$' -fuzz='^FuzzChunkedCiphertext$$' -fuzztime=5s
 	$(GO) test ./internal/paillier -race
@@ -61,13 +64,6 @@ bench-packed:
 	$(GO) run ./cmd/vfpsbench -exp packed -json BENCH_packed.json
 	./scripts/bench_compare.sh BENCH_packed.json
 
-# Benchmark the compact binary codec against gob (message sizes plus gob/binary
-# end-to-end selections, packed and unpacked) and gate the result: identical
-# selections and ≥2x fewer framing (non-ciphertext) bytes on the Fagin variant.
-bench-wire:
-	$(GO) run ./cmd/vfpsbench -exp wire -json BENCH_wire.json
-	./scripts/bench_compare.sh BENCH_wire.json
-
 # Benchmark the encryption hot path (classic vs fixed-base windowed vs CRT vs
 # pooled randomizer production, the Montgomery kernel A/B on modmul- and
 # modexp-bound arms, plus end-to-end selections under each pool mode) and gate
@@ -80,15 +76,14 @@ bench-encrypt:
 
 # Benchmark the ciphertext-payload optimizations (adaptive pack factor,
 # chunked streaming, cross-round delta cache) over repeated Fagin selections
-# and gate the result: every arm — including the mixed-codec one falling back
-# to legacy framing — selects the identical set, and the fully optimized arm
-# cuts steady-state ciphertext bytes by ≥3x over static packing.
+# and gate the result: every arm selects the identical set, and the fully
+# optimized arm cuts steady-state ciphertext bytes by ≥3x over static packing.
 bench-payload:
 	$(GO) run ./cmd/vfpsbench -exp payload -json BENCH_payload.json
 	./scripts/bench_compare.sh BENCH_payload.json
 
 # Benchmark online membership churn (in-place join/leave, set-keyed
-# similarity reuse, speculative TA decryption) and gate the result: the
+# similarity reuse) and gate the result: the
 # incremental join pays ≥2x fewer encryptions than a cold rebuild at 6+
 # surviving parties, every churn arm selects bit-identically to its cold
 # twin, and a roster revisit through the similarity cache pays 0 HE ops.

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table4|table5|fig4|fig5|fig6|fig7|fig8|fig9|exttopk|extscheme|extdp|extpruning|extbatch|parallel|packed|wire|payload|churn|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table4|table5|fig4|fig5|fig6|fig7|fig8|fig9|exttopk|extscheme|extdp|extpruning|extbatch|parallel|packed|encrypt|payload|churn|all")
 		rows      = flag.Int("rows", 800, "max instances per dataset")
 		queries   = flag.Int("queries", 32, "KNN query samples for selection")
 		k         = flag.Int("k", 10, "proxy-KNN neighbour count")
@@ -94,15 +94,14 @@ func main() {
 		"extbatch":   func(ctx context.Context) (any, error) { return experiments.ExtBatch(ctx, opt) },
 		"parallel":   func(ctx context.Context) (any, error) { return experiments.Parallel(ctx, opt) },
 		"packed":     func(ctx context.Context) (any, error) { return experiments.Packed(ctx, opt) },
-		"wire":       func(ctx context.Context) (any, error) { return experiments.Wire(ctx, opt) },
 		"encrypt":    func(ctx context.Context) (any, error) { return experiments.Encrypt(ctx, opt) },
 		"payload":    func(ctx context.Context) (any, error) { return experiments.Payload(ctx, opt) },
 		"churn":      func(ctx context.Context) (any, error) { return experiments.Churn(ctx, opt) },
 	}
-	// "parallel", "packed", "wire", "encrypt", "payload" and "churn" are
+	// "parallel", "packed", "encrypt", "payload" and "churn" are
 	// machine-dependent wall-clock benchmarks, so they are run explicitly
-	// (-exp parallel / -exp packed / -exp wire / -exp encrypt /
-	// -exp payload / -exp churn) rather than folded into -exp all.
+	// (-exp parallel / -exp packed / -exp encrypt / -exp payload /
+	// -exp churn) rather than folded into -exp all.
 	order := []string{"table1", "table4", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"exttopk", "extscheme", "extdp", "extpruning", "extbatch"}
 

@@ -43,18 +43,17 @@ import (
 	"vfps/internal/vfl"
 )
 
-// tuneScheme applies the -parallelism, -mont and -pack flags to an HE scheme;
-// only Paillier has tunables. Parties that bulk-encrypt also get a randomizer pool
-// unless the node is pinned fully serial. Packing must be set consistently on
+// tuneScheme applies the -parallelism, -encrypt-window and -pack flags to an
+// HE scheme; only Paillier has tunables. Parties that bulk-encrypt also get a
+// randomizer pool unless the node is pinned fully serial. Packing must be set consistently on
 // every participant and the leader (the aggregation server validates the pack
 // factors it sees); maxAdds is the consortium size, matching the one-
 // ciphertext-per-party aggregation tree.
-func tuneScheme(s he.Scheme, parallelism, window, mont int, pool, pack bool, maxAdds int) {
+func tuneScheme(s he.Scheme, parallelism, window int, pool, pack bool, maxAdds int) {
 	p, ok := s.(*he.Paillier)
 	if !ok {
 		return
 	}
-	p.SetMont(mont)
 	p.SetParallelism(parallelism)
 	if pool && parallelism != 1 {
 		p.SetEncryptWindow(window)
@@ -86,15 +85,12 @@ func main() {
 		queries     = flag.Int("queries", 32, "query sample count (role=leader)")
 		batch       = flag.Int("batch", 32, "Fagin mini-batch size (role=leader)")
 		variant     = flag.String("variant", "fagin", "KNN variant: fagin|base|threshold (role=leader)")
-		specTA      = flag.Bool("speculate-ta", false, "overlap the threshold scan's next round with the stopping check; discarded-round decryptions surface in vfps_ta_speculative_waste_total (role=leader; requires -variant threshold)")
 		parallelism = flag.Int("parallelism", 0, "HE pipeline concurrency (0 = VFPS_PARALLELISM or GOMAXPROCS, 1 = serial)")
 		pack        = flag.Bool("pack", false, "slot-pack Paillier ciphertexts (set identically on all parties and the leader)")
 		packAdapt   = flag.Bool("pack-adaptive", false, "renegotiate the packing slot width per round from observed magnitudes (role=leader; requires -pack)")
-		chunkBytes  = flag.Int("chunk-bytes", 0, "split collection responses into ciphertext chunks of at most this many bytes (role=leader; requires -wire binary)")
+		chunkBytes  = flag.Int("chunk-bytes", 0, "split collection responses into ciphertext chunks of at most this many bytes (role=leader)")
 		deltaCache  = flag.Bool("delta-cache", false, "cross-round delta encoding: repeat queries resend only changed ciphertext blocks (role=leader)")
 		window      = flag.Int("encrypt-window", 0, "fixed-base window for randomizer precompute (0 = default 6, negative = classic uniform sampling)")
-		montKnob    = flag.Int("mont", 0, "Paillier modular-arithmetic backend: 0 = default (Montgomery kernel unless VFPS_MONT=0), >0 = force kernel, <0 = pure math/big")
-		wireName    = flag.String("wire", "", "protocol codec: gob|binary (default VFPS_WIRE or gob; mixed clusters negotiate down to gob per peer)")
 		obsAddr     = flag.String("obs-addr", "", "optional debug listen address serving /metrics, /v1/trace, /v1/slow and /debug/pprof")
 		logJSON     = flag.String("log-json", "", `structured query-log destination: "-"/"stdout", "stderr", or a file path (off when empty)`)
 		slowRing    = flag.Int("slow-ring", 0, "flight-recorder capacity for /v1/slow (0 = default)")
@@ -105,10 +101,6 @@ func main() {
 	flag.Parse()
 
 	dir, err := parseDirectory(*directory)
-	if err != nil {
-		fatal("%v", err)
-	}
-	codec, err := vfl.ResolveWireCodec(*wireName)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -167,7 +159,6 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		ks.SetCodec(codec)
 		serve(*addr, "key server", ks.Handler(), o)
 	case "party":
 		pt, _, err := localPartition(*ds, *rows, *parties, *splitSeed)
@@ -180,11 +171,11 @@ func main() {
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, nil), vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
-		tuneScheme(pub, *parallelism, *window, *montKnob, true, *pack, pt.P())
+		tuneScheme(pub, *parallelism, *window, true, *pack, pt.P())
 		observeScheme(pub, o, "party")
 		part, err := vfl.NewParticipant(*index, pt.Parties[*index], pub, *shuffleSeed)
 		if err != nil {
@@ -192,13 +183,12 @@ func main() {
 		}
 		part.SetParallelism(*parallelism)
 		part.SetObserver(o, "node")
-		part.SetCodec(codec)
 		serve(*addr, fmt.Sprintf("participant %d (%d features)", *index, part.Features()), part.Handler(), o)
 	case "aggserver":
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, nil), vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
@@ -206,7 +196,7 @@ func main() {
 		if len(names) == 0 {
 			fatal("directory lists no party/<i> entries")
 		}
-		tuneScheme(pub, *parallelism, *window, *montKnob, false, false, 0) // agg only adds; packing config lives on parties and leader
+		tuneScheme(pub, *parallelism, *window, false, false, 0) // agg only adds; packing config lives on parties and leader
 		observeScheme(pub, o, "aggserver")
 		agg, err := vfl.NewAggServer(cli, names, pub)
 		if err != nil {
@@ -214,7 +204,6 @@ func main() {
 		}
 		agg.SetParallelism(*parallelism)
 		agg.SetObserver(o, "node")
-		agg.SetCodec(codec)
 		if size, shards := vfl.PlanSubtrees(len(names), *shardWkrs); *shardWkrs >= 2 && shards >= 2 {
 			plan := &vfl.ShardPlan{SubtreeSize: size}
 			for wi := 0; wi < shards; wi++ {
@@ -234,7 +223,7 @@ func main() {
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(cli, nil), vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching public key: %v", err)
 		}
@@ -251,7 +240,7 @@ func main() {
 		}
 		plan := &vfl.ShardPlan{SubtreeSize: size}
 		lo, hi := plan.Range(*index, len(names))
-		tuneScheme(pub, *parallelism, *window, *montKnob, false, false, 0) // workers only add, like the aggserver
+		tuneScheme(pub, *parallelism, *window, false, false, 0) // workers only add, like the aggserver
 		observeScheme(pub, o, "aggworker")
 		wkr, err := vfl.NewAggServer(cli, names[lo:hi], pub)
 		if err != nil {
@@ -260,18 +249,17 @@ func main() {
 		wkr.SetParallelism(*parallelism)
 		wkr.SetRole(vfl.AggWorkerName(*index))
 		wkr.SetObserver(o, "node")
-		wkr.SetCodec(codec)
 		serve(*addr, fmt.Sprintf("aggregation worker %d (parties %d..%d)", *index, lo, hi-1), wkr.Handler(), o)
 	case "leader":
 		cli := transport.NewTCPClient(dir)
 		defer cli.Close()
 		cli.SetObserver(o)
-		priv, err := vfl.FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(cli, codec), vfl.KeyServerName)
+		priv, err := vfl.FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(cli, nil), vfl.KeyServerName)
 		if err != nil {
 			fatal("fetching private key: %v", err)
 		}
 		names := partyNames(dir)
-		tuneScheme(priv, *parallelism, *window, *montKnob, false, *pack, len(names))
+		tuneScheme(priv, *parallelism, *window, false, *pack, len(names))
 		observeScheme(priv, o, "leader")
 		leader, err := vfl.NewLeader(cli, vfl.AggServerName, names, priv, *batch)
 		if err != nil {
@@ -279,9 +267,7 @@ func main() {
 		}
 		leader.SetParallelism(*parallelism)
 		leader.SetObserver(o, "node")
-		leader.SetCodec(codec)
 		leader.SetPayloadOptions(*packAdapt && *pack, *chunkBytes, *deltaCache)
-		leader.SetSpeculativeTA(*specTA)
 		// Shard workers hold per-role op counters; fold them into the totals.
 		leader.SetExtraCountNodes(aggWorkerNames(dir))
 		runLeader(ctx, leader, o, *rows, *selCount, *k, *queries, vfl.Variant(*variant), *rounds, *qworkers)
@@ -316,7 +302,7 @@ func runLeader(ctx context.Context, leader *vfl.Leader, o *obs.Observer, rows, s
 		}
 		start := time.Now()
 		var err error
-		rep, err = leader.SimilaritiesParallel(rctx, qs, k, variant, qworkers)
+		rep, err = leader.Similarities(rctx, qs, k, variant, qworkers)
 		if err != nil {
 			fatal("similarity phase (round %d): %v", r, err)
 		}

@@ -1,7 +1,7 @@
 // Distributed deployment: the five system roles — key server, aggregation
 // server, three participants (the first doubling as leader) — each run
 // behind their own TCP socket on localhost, exchanging real length-framed
-// gob messages with Paillier-encrypted partial distances. The same topology
+// binary-codec messages with Paillier-encrypted partial distances. The same topology
 // runs across machines with cmd/vfpsnode.
 //
 //	go run ./examples/distributed
@@ -50,7 +50,7 @@ func main() {
 	// Participants fetch the public key and serve their local features.
 	bootstrap := transport.NewTCPClient(directory)
 	defer bootstrap.Close()
-	pub, err := vfl.FetchPublicScheme(ctx, bootstrap, vfl.KeyServerName)
+	pub, err := vfl.FetchPublicSchemeWire(ctx, transport.NewCodecCaller(bootstrap, nil), vfl.KeyServerName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func main() {
 	// Leader: holds the private key, drives the protocol.
 	leaderCli := transport.NewTCPClient(directory)
 	defer leaderCli.Close()
-	priv, err := vfl.FetchPrivateScheme(ctx, leaderCli, vfl.KeyServerName)
+	priv, err := vfl.FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(leaderCli, nil), vfl.KeyServerName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func main() {
 
 	queries := []int{5, 50, 100, 150, 200, 250}
 	fmt.Printf("\nrunning encrypted vertical KNN over %d queries (Paillier, Fagin-pruned)...\n", len(queries))
-	rep, err := leader.Similarities(ctx, queries, 5, vfl.VariantFagin)
+	rep, err := leader.Similarities(ctx, queries, 5, vfl.VariantFagin, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -228,7 +228,7 @@ func Select(ctx context.Context, leader *vfl.Leader, selectCount int, cfg Config
 		sctx, ssp := tracer.Start(ctx, "select.similarity")
 		ssp.SetLabelInt("queries", int64(len(cfg.Queries)))
 		ssp.SetLabelInt("k", int64(cfg.K))
-		rep, err = leader.SimilaritiesParallel(sctx, cfg.Queries, cfg.K, cfg.Variant, cfg.Parallelism)
+		rep, err = leader.Similarities(sctx, cfg.Queries, cfg.K, cfg.Variant, cfg.Parallelism)
 		ssp.End()
 		phase("similarity")
 		if err != nil {

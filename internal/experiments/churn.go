@@ -8,7 +8,6 @@ import (
 
 	"vfps"
 	"vfps/internal/core"
-	"vfps/internal/obs"
 	"vfps/internal/par"
 	"vfps/internal/vfl"
 )
@@ -47,17 +46,6 @@ type ChurnResult struct {
 	RevisitHEOps int64
 	RevisitMatch bool
 
-	// TASerialSeconds / TASpecSeconds time the threshold-variant selection
-	// with speculative round decryption off and on; TASpecWaste is the
-	// vfps_ta_speculative_waste_total counter after the speculative run
-	// (decryptions of discarded rounds — surfaced, never billed). TAMatch
-	// asserts both runs select identically.
-	TASerialSeconds float64
-	TASpecSeconds   float64
-	TASpeedup       float64
-	TASpecWaste     int64
-	TAMatch         bool
-
 	Table *Table
 }
 
@@ -75,8 +63,7 @@ func churnPartition(pt *vfps.Partition, parties []int) *vfps.Partition {
 // Churn benchmarks online membership changes against cold rebuilds: an
 // in-place join must reuse every survivor's cached ciphertexts (paying
 // encryption only for the joiner), leaves and roster revisits must stay
-// bit-identical to cold selections, and the threshold scan's speculative
-// decryption must change wall clock only, never the answer.
+// bit-identical to cold selections.
 func Churn(ctx context.Context, opt Options) (*ChurnResult, error) {
 	return churnAt(ctx, opt, 512)
 }
@@ -120,16 +107,13 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 		k = 5
 	}
 	count := 2
-	mk := func(name string, parties []int, o *obs.Observer, speculate bool) (*vfl.Cluster, error) {
+	mk := func(name string, parties []int) (*vfl.Cluster, error) {
 		return vfl.NewLocalCluster(ctx, vfl.ClusterConfig{
 			Partition:   churnPartition(full, parties),
 			Scheme:      "paillier",
 			KeyBits:     e2eBits,
 			ShuffleSeed: opt.Seed + 303,
 			DeltaCache:  true,
-			SpeculateTA: speculate,
-			Wire:        "binary",
-			Obs:         o,
 			Instance:    "churn/" + name,
 		})
 	}
@@ -150,7 +134,7 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 	for i := range roster {
 		roster[i] = i
 	}
-	coldCl, err := mk("cold", roster, nil, false)
+	coldCl, err := mk("cold", roster)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +146,7 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 	res.ColdEncryptions = cold.Counts.Encryptions
 
 	// Online consortium: warm at the base membership, then join in place.
-	liveCl, err := mk("live", roster[:res.BaseParties], nil, false)
+	liveCl, err := mk("live", roster[:res.BaseParties])
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +174,7 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 		return nil, fmt.Errorf("churn leave arm: %w", err)
 	}
 	leaveRoster := append([]int{0}, roster[2:]...)
-	coldLeaveCl, err := mk("cold-leave", leaveRoster, nil, false)
+	coldLeaveCl, err := mk("cold-leave", leaveRoster)
 	if err != nil {
 		return nil, err
 	}
@@ -216,39 +200,6 @@ func churnAt(ctx context.Context, opt Options, e2eBits int) (*ChurnResult, error
 	res.RevisitHEOps = revisit.Counts.Encryptions + revisit.Counts.Decryptions + revisit.Counts.CipherAdds
 	res.RevisitMatch = identical(revisit, first)
 
-	// Speculative TA: same threshold selection, speculation off then on.
-	serialCl, err := mk("ta-serial", roster, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	defer serialCl.Close()
-	taSerial, err := sel(serialCl, vfl.VariantThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("churn ta-serial arm: %w", err)
-	}
-	o := obs.NewObserver(0)
-	specCl, err := mk("ta-spec", roster, o, true)
-	if err != nil {
-		return nil, err
-	}
-	defer specCl.Close()
-	taSpec, err := sel(specCl, vfl.VariantThreshold)
-	if err != nil {
-		return nil, fmt.Errorf("churn ta-spec arm: %w", err)
-	}
-	res.TASerialSeconds = taSerial.WallTime.Seconds()
-	res.TASpecSeconds = taSpec.WallTime.Seconds()
-	res.TASpeedup = speedup(res.TASerialSeconds, res.TASpecSeconds)
-	res.TAMatch = equalInts(taSerial.Selected, taSpec.Selected) &&
-		taSerial.Counts.Decryptions == taSpec.Counts.Decryptions
-	for _, fam := range o.Registry().Snapshot() {
-		if fam.Name == "vfps_ta_speculative_waste_total" {
-			for _, s := range fam.Series {
-				res.TASpecWaste += int64(s.Value)
-			}
-		}
-	}
-
 	res.Table = churnTable(res)
 	res.Table.Fprint(opt.Out)
 	return res, nil
@@ -267,8 +218,6 @@ func churnTable(r *ChurnResult) *Table {
 		[]string{"incremental leave", "", fmt.Sprintf("%v", r.LeaveMatch), "submatrix identity vs cold twin"},
 		[]string{"roster revisit", fmt.Sprintf("%d", r.RevisitHEOps), fmt.Sprintf("%v", r.RevisitMatch),
 			"set-keyed cache, 0 HE ops expected"},
-		[]string{"speculative TA", "", fmt.Sprintf("%v", r.TAMatch),
-			fmt.Sprintf("%.3fs vs %.3fs serial, waste %d", r.TASpecSeconds, r.TASerialSeconds, r.TASpecWaste)},
 	)
 	return t
 }

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"vfps"
+	"vfps/internal/core"
 	"vfps/internal/paillier"
 	"vfps/internal/par"
+	"vfps/internal/vfl"
 )
 
 // EncryptMicro reports the party-side encryption microbenchmark: the same
@@ -294,38 +296,39 @@ func encryptMontAB(ctx context.Context, m *EncryptMicro, key *paillier.PrivateKe
 }
 
 // encryptE2E wall-clocks one selection variant under each randomizer mode
-// and checks every mode selects the classic baseline's participants.
+// and checks every mode selects the classic baseline's participants. The
+// clusters are built through vfl.ClusterConfig, whose Mont field reaches the
+// math/big reference backend for the mont-off arm.
 func encryptE2E(ctx context.Context, opt Options, res *EncryptResult, variant string) ([]EncryptE2E, error) {
-	run := func(window, mont int, shared *vfps.PoolSet) (*vfps.Selection, error) {
-		d, err := vfps.GenerateDataset("Bank", res.Rows)
-		if err != nil {
-			return nil, err
-		}
-		pt, err := vfps.VerticalSplit(d, res.Parties, opt.Seed+101)
-		if err != nil {
-			return nil, err
-		}
-		cons, err := vfps.NewConsortium(ctx, vfps.Config{
+	d, err := vfps.GenerateDataset("Bank", res.Rows)
+	if err != nil {
+		return nil, err
+	}
+	pt, err := vfps.VerticalSplit(d, res.Parties, opt.Seed+101)
+	if err != nil {
+		return nil, err
+	}
+	queries := core.SampleQueries(res.Rows, res.Queries, opt.Seed)
+	run := func(window, mont int, shared *vfps.PoolSet) (*core.Selection, error) {
+		cl, err := vfl.NewLocalCluster(ctx, vfl.ClusterConfig{
 			Partition:     pt,
-			Labels:        d.Y,
-			Classes:       d.Classes,
 			Scheme:        "paillier",
 			KeyBits:       res.KeyBits,
 			ShuffleSeed:   opt.Seed + 303,
 			Pack:          true,
 			EncryptWindow: window,
 			Mont:          mont,
-			SharedPool:    shared,
+			Pool:          shared,
 		})
 		if err != nil {
 			return nil, err
 		}
-		defer cons.Close()
-		return cons.Select(ctx, opt.SelectCount, vfps.SelectOptions{
-			K:          opt.K,
-			NumQueries: res.Queries,
-			Seed:       opt.Seed,
-			TopK:       variant,
+		defer cl.Close()
+		return core.Select(ctx, cl.Leader, opt.SelectCount, core.Config{
+			K:       opt.K,
+			Queries: queries,
+			Variant: vfl.Variant(variant),
+			Seed:    opt.Seed,
 		})
 	}
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"vfps"
+	"vfps/internal/core"
+	"vfps/internal/vfl"
 )
 
 // TestMontSelectionIdentity is the acceptance gate for the Montgomery kernel:
@@ -22,12 +24,11 @@ func TestMontSelectionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	queries := core.SampleQueries(60, 4, 1)
 	run := func(mont, parallelism, window int, pack bool) []int {
 		t.Helper()
-		cons, err := vfps.NewConsortium(ctx, vfps.Config{
+		cl, err := vfl.NewLocalCluster(ctx, vfl.ClusterConfig{
 			Partition:     pt,
-			Labels:        d.Y,
-			Classes:       d.Classes,
 			Scheme:        "paillier",
 			KeyBits:       256,
 			ShuffleSeed:   303,
@@ -39,12 +40,12 @@ func TestMontSelectionIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cons.Close()
-		sel, err := cons.Select(ctx, 2, vfps.SelectOptions{
-			K:          3,
-			NumQueries: 4,
-			Seed:       1,
-			TopK:       "fagin",
+		defer cl.Close()
+		sel, err := core.Select(ctx, cl.Leader, 2, core.Config{
+			K:       3,
+			Queries: queries,
+			Variant: vfl.VariantFagin,
+			Seed:    1,
 		})
 		if err != nil {
 			t.Fatal(err)

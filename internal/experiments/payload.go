@@ -9,7 +9,6 @@ import (
 	"vfps/internal/core"
 	"vfps/internal/par"
 	"vfps/internal/vfl"
-	"vfps/internal/wire"
 )
 
 // PayloadArm is one knob configuration of the ciphertext-payload benchmark,
@@ -20,9 +19,6 @@ type PayloadArm struct {
 	Adaptive   bool
 	ChunkBytes int
 	Delta      bool
-	// MixedCodec drops one gob-only party into the consortium, forcing the
-	// aggregator to negotiate legacy whole-blob framing on that link.
-	MixedCodec bool
 	// RoundBytes is the ciphertext-payload byte count of each round;
 	// RoundWire adds framing. Round 0 is cold, later rounds are the
 	// monitoring steady state.
@@ -70,7 +66,6 @@ type payloadKnobs struct {
 	adaptive bool
 	chunk    int
 	delta    bool
-	mixed    bool
 }
 
 // Payload benchmarks the ciphertext-payload optimizations — adaptive pack
@@ -121,7 +116,6 @@ func payloadAt(ctx context.Context, opt Options, e2eBits, rounds int) (*PayloadR
 		{"chunked", payloadKnobs{chunk: 2048}},
 		{"delta", payloadKnobs{delta: true}},
 		{"full", payloadKnobs{adaptive: true, chunk: 2048, delta: true}},
-		{"mixed-codec", payloadKnobs{adaptive: true, chunk: 2048, delta: true, mixed: true}},
 	}
 	for _, a := range arms {
 		arm, err := payloadArm(ctx, opt, res, a.name, a.kn, pt, queries, rounds)
@@ -162,23 +156,18 @@ func payloadArm(ctx context.Context, opt Options, res *PayloadResult, name strin
 		PackAdaptive: kn.adaptive,
 		ChunkBytes:   kn.chunk,
 		DeltaCache:   kn.delta,
-		Wire:         "binary",
 		Instance:     "payload/" + name,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("payload %s: %w", name, err)
 	}
 	defer cl.Close()
-	if kn.mixed {
-		cl.Parties[0].SetCodec(wire.Gob()) // the legacy node
-	}
 
 	arm := &PayloadArm{
 		Name:       name,
 		Adaptive:   kn.adaptive,
 		ChunkBytes: kn.chunk,
 		Delta:      kn.delta,
-		MixedCodec: kn.mixed,
 	}
 	for r := 0; r < rounds; r++ {
 		sel, err := core.Select(ctx, cl.Leader, opt.SelectCount, core.Config{

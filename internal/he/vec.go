@@ -93,11 +93,10 @@ func (p *Paillier) Parallelism() int {
 }
 
 // SetMont selects the modular-arithmetic backend for this scheme's key
-// material: 0 follows the process default (the Montgomery kernel, unless
-// VFPS_MONT=0), positive forces the kernel, negative forces pure math/big.
-// Both backends compute identical residues; the stdlib path exists for
-// auditability. Set it before starting pools or sending traffic — tables
-// built under one backend keep that representation for their lifetime.
+// material: 0 or positive runs the Montgomery kernel, negative forces the
+// pure math/big reference. Both backends compute identical residues. Set it
+// before starting pools or sending traffic — tables built under one backend
+// keep that representation for their lifetime.
 func (p *Paillier) SetMont(m int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

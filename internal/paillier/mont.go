@@ -2,8 +2,6 @@ package paillier
 
 import (
 	"math/big"
-	"os"
-	"sync"
 
 	"vfps/internal/mont"
 )
@@ -17,35 +15,11 @@ import (
 // internally and cannot be beaten by re-entering/leaving the form per call
 // (DESIGN.md §12). Every path computes the exact same residues, so
 // ciphertexts, sums and selections are bit-identical with the kernel on or
-// off; the knob exists for auditability (the stdlib path is the reference)
-// and for machines where the portable rows may not pay off.
+// off. The kernel is always on outside tests and experiments; the math/big
+// path (PublicKey.Mont < 0) is the reference it is checked against.
 
-var (
-	montEnvOnce sync.Once
-	montEnvOn   bool
-)
-
-// montDefault resolves the process-wide default: on, unless VFPS_MONT is set
-// to 0/false/off.
-func montDefault() bool {
-	montEnvOnce.Do(func() {
-		switch os.Getenv("VFPS_MONT") {
-		case "0", "false", "off":
-			montEnvOn = false
-		default:
-			montEnvOn = true
-		}
-	})
-	return montEnvOn
-}
-
-// useMont resolves the key's tri-state Mont knob.
-func (pk *PublicKey) useMont() bool {
-	if pk.Mont != 0 {
-		return pk.Mont > 0
-	}
-	return montDefault()
-}
+// useMont resolves the key's Mont knob: on unless Mont is negative.
+func (pk *PublicKey) useMont() bool { return pk.Mont >= 0 }
 
 // montN2 returns the shared Montgomery context for n², or nil when the knob
 // is off (callers fall back to math/big).

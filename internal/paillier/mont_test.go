@@ -196,11 +196,14 @@ func TestAddCipherIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMontKnobDefault pins the tri-state resolution: negative forces stdlib,
-// positive forces the kernel, zero follows the process default.
+// TestMontKnobDefault pins the knob resolution: negative forces stdlib,
+// zero (the default) and positive run the kernel.
 func TestMontKnobDefault(t *testing.T) {
 	sk := key2(t, 128)
 	pk := &sk.PublicKey
+	if !pk.useMont() {
+		t.Fatal("the zero-value key must run the kernel")
+	}
 	pk.Mont = -1
 	if pk.useMont() {
 		t.Fatal("Mont=-1 must disable the kernel")

@@ -40,10 +40,10 @@ type PublicKey struct {
 
 	// Mont selects the Montgomery arithmetic kernel (internal/mont) for the
 	// modular hot paths — fixed-base table products, CRT exponentiations,
-	// ciphertext accumulation: 0 (default) enables it unless VFPS_MONT=0,
-	// positive forces it on, negative restores pure math/big arithmetic.
-	// Ciphertexts and sums are bit-identical at every setting. Not part of
-	// the wire format; set it before the key starts serving traffic.
+	// ciphertext accumulation: 0 (default) or positive enables it, negative
+	// restores the pure math/big reference arithmetic. Ciphertexts and sums
+	// are bit-identical at every setting. Not part of the wire format; set it
+	// before the key starts serving traffic.
 	Mont int
 }
 

@@ -295,7 +295,6 @@ type CreateRequest struct {
 	SplitSeed   int64   `json:"splitSeed"`
 	ShuffleSeed int64   `json:"shuffleSeed"`
 	KeyBits     int     `json:"keyBits"` // Paillier modulus size (0 → library default)
-	Wire        string  `json:"wire"`    // protocol codec: "gob" (default) or "binary"
 	// Ciphertext payload knobs (Paillier only; see DESIGN.md §14).
 	Pack         bool `json:"pack"`         // slot-pack ciphertexts
 	PackAdaptive bool `json:"packAdaptive"` // renegotiate slot width per round
@@ -306,9 +305,6 @@ type CreateRequest struct {
 	ShardWorkers int `json:"shardWorkers"`
 	// Parallelism pins per-role HE pipeline concurrency (0 → automatic).
 	Parallelism int `json:"parallelism"`
-	// SpeculateTA overlaps the threshold-variant scan's round r+1 decryption
-	// with round r's stop check (DESIGN.md §16).
-	SpeculateTA bool `json:"speculateTA"`
 	// SimCache memoises similarity reports by (roster, queries, variant, K)
 	// across this consortium's selections, so a recurring membership skips
 	// the encrypted similarity phase (DESIGN.md §16).
@@ -356,14 +352,12 @@ func (s *Server) createConsortium(w http.ResponseWriter, r *http.Request) {
 		DPEpsilon:    req.DPEpsilon,
 		ShuffleSeed:  req.ShuffleSeed,
 		KeyBits:      req.KeyBits,
-		Wire:         req.Wire,
 		Pack:         req.Pack,
 		PackAdaptive: req.PackAdaptive,
 		ChunkBytes:   req.ChunkBytes,
 		DeltaCache:   req.DeltaCache,
 		ShardWorkers: req.ShardWorkers,
 		Parallelism:  req.Parallelism,
-		SpeculateTA:  req.SpeculateTA,
 		SimCache:     req.SimCache,
 		SharedPool:   s.pool,
 		Obs:          s.obs,

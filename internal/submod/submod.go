@@ -94,9 +94,29 @@ func checkK(f Objective, k int) error {
 	return nil
 }
 
+// gainTol is the relative rounding tolerance within which two marginal gains
+// count as tied. Objective values are float sums whose order of addition
+// depends on the candidate set — for facility location, f({0}) sums column
+// 0 and f({2}) column 2 — so mathematically equal gains can differ in their
+// last bits. Treating them as tied lets the smallest-id rule decide, as
+// documented, instead of the rounding.
+const gainTol = 1e-9
+
+// beats reports whether element v with marginal gain g ranks ahead of
+// element u with gain h: g exceeds h by more than gainTol (relative to the
+// larger magnitude, and never less than gainTol absolute), or the two tie
+// within it and v has the smaller id. Greedy, LazyGreedy and
+// GreedyWarmStart all rank through it, so they agree on every tie.
+func beats(g float64, v int, h float64, u int) bool {
+	if math.Abs(g-h) <= gainTol*math.Max(1, math.Max(math.Abs(g), math.Abs(h))) {
+		return v < u
+	}
+	return g > h
+}
+
 // Greedy runs the standard greedy algorithm (Algorithm 1 of the paper):
 // starting from ∅, repeatedly add the element with maximum marginal gain,
-// ties broken by smallest element id.
+// ties (within gainTol) broken by smallest element id.
 func Greedy(f Objective, k int) (*Result, error) {
 	if err := checkK(f, k); err != nil {
 		return nil, err
@@ -107,14 +127,14 @@ func Greedy(f Objective, k int) (*Result, error) {
 	res := &Result{}
 	cur := 0.0
 	for len(selected) < k {
-		bestV, bestGain := -1, math.Inf(-1)
+		bestV, bestGain := -1, 0.0
 		for v := 0; v < n; v++ {
 			if inSet[v] {
 				continue
 			}
 			val := f.Value(append(selected, v))
 			res.Evaluations++
-			if gain := val - cur; gain > bestGain {
+			if gain := val - cur; bestV < 0 || beats(gain, v, bestGain, bestV) {
 				bestGain, bestV = gain, v
 			}
 		}
@@ -138,13 +158,8 @@ type gainItem struct {
 
 type gainHeap []gainItem
 
-func (h gainHeap) Len() int { return len(h) }
-func (h gainHeap) Less(i, j int) bool {
-	if h[i].bound != h[j].bound {
-		return h[i].bound > h[j].bound
-	}
-	return h[i].v < h[j].v
-}
+func (h gainHeap) Len() int               { return len(h) }
+func (h gainHeap) Less(i, j int) bool     { return beats(h[i].bound, h[i].v, h[j].bound, h[j].v) }
 func (h gainHeap) Swap(i, j int)          { h[i], h[j] = h[j], h[i] }
 func (h *gainHeap) Push(x any)            { *h = append(*h, x.(gainItem)) }
 func (h *gainHeap) Pop() any              { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }

@@ -3,6 +3,7 @@ package submod
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +94,36 @@ func TestGreedyPrefersDiversity(t *testing.T) {
 	}
 	if got[0] && got[1] {
 		t.Fatalf("redundant pair selected: %v", res.Selected)
+	}
+}
+
+// TestGreedyTieBreakSurvivesRounding pins the smallest-id rule when two
+// first-round gains are equal in exact arithmetic but not in float64:
+// column 0 sums to 1.0+0.2+0.6 and column 2 to 0.6+0.2+1.0, which round to
+// different doubles. Every greedy variant must still pick id 0 first.
+func TestGreedyTieBreakSurvivesRounding(t *testing.T) {
+	w := [][]float64{
+		{1.0, 0.2, 0.6},
+		{0.2, 1.0, 0.2},
+		{0.6, 0.2, 1.0},
+	}
+	f := fl(t, w)
+	if f.Value([]int{0}) == f.Value([]int{2}) {
+		t.Fatal("columns 0 and 2 no longer differ by rounding; the case tests nothing")
+	}
+	runs := map[string]func() (*Result, error){
+		"Greedy":          func() (*Result, error) { return Greedy(f, 2) },
+		"LazyGreedy":      func() (*Result, error) { return LazyGreedy(f, 2) },
+		"GreedyWarmStart": func() (*Result, error) { return GreedyWarmStart(f, 2, []int{2, 1}) },
+	}
+	for name, run := range runs {
+		res, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Selected, []int{0, 1}) {
+			t.Errorf("%s selected %v, want [0 1]", name, res.Selected)
+		}
 	}
 }
 

@@ -303,67 +303,3 @@ func BenchmarkNaive(b *testing.B) {
 		}
 	}
 }
-
-// Property: NRA result == Naive result on random (tie-free) inputs.
-func TestNRAEquivalenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := 1 + rng.Intn(4)
-		n := 5 + rng.Intn(80)
-		k := 1 + rng.Intn(n)
-		lists := randomLists(rng, p, n)
-		want, err := Naive(lists, k)
-		if err != nil {
-			return false
-		}
-		got, err := NRA(lists, k)
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(got.TopK, want.TopK)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNRAValidation(t *testing.T) {
-	lists := randomLists(rand.New(rand.NewSource(1)), 2, 10)
-	if _, err := NRA(lists, 0); err == nil {
-		t.Fatal("expected k=0 error")
-	}
-	if _, err := NRA(nil, 1); err == nil {
-		t.Fatal("expected empty-lists error")
-	}
-}
-
-func TestNRANoRandomAccesses(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	lists := randomLists(rng, 3, 500)
-	r, err := NRA(lists, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.RandomAccesses != 0 {
-		t.Fatalf("NRA performed %d random accesses", r.Stats.RandomAccesses)
-	}
-	if r.Stats.SortedAccesses == 0 || r.Stats.ScanDepth == 0 {
-		t.Fatal("stats missing")
-	}
-}
-
-func TestNRACorrelatedListsTerminateEarly(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	scores := make([]float64, 2000)
-	for i := range scores {
-		scores[i] = rng.Float64()
-	}
-	lists := []*RankedList{NewRankedList(scores), NewRankedList(scores)}
-	r, err := NRA(lists, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.ScanDepth >= 2000 {
-		t.Fatalf("NRA scanned everything (%d) on identical lists", r.Stats.ScanDepth)
-	}
-}

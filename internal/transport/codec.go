@@ -2,125 +2,46 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"vfps/internal/obs"
 	"vfps/internal/wire"
 )
-
-// MethodHello is the reserved method every codec-aware node serves for wire
-// version negotiation (see wire.HandleHello).
-const MethodHello = wire.HelloMethod
 
 // WireStats reports the byte breakdown of one encoded request, so callers
 // can charge their side of the traffic to the cost model.
 type WireStats struct {
 	Codec   string // codec the request was encoded with
 	Payload int64  // value-content bytes (ciphertexts, keys, float scalars)
-	Framing int64  // everything else: envelope, tags, ID lists, descriptors
+	Framing int64  // everything else: envelope, tags, length prefixes, ID lists
 }
 
-// CodecCaller wraps a Caller with message-level encoding and per-peer wire
-// version negotiation. A caller preferring gob sends gob directly (the
-// pre-wire behaviour, no probe). A caller preferring the binary codec probes
-// each peer once with MethodHello and caches the committed codec:
-//
-//   - the peer answers → min(peer version, ours); a gob-configured peer
-//     answers 0 and the caller falls back to gob for it;
-//   - the peer reports ErrUnknownMethod (or any handler-side *RemoteError
-//     over TCP, where only the error text survives) → a pre-wire build,
-//     fall back to gob;
-//   - transport-level failures (unknown peer, cancelled context, injected
-//     or network faults) propagate and nothing is cached, so a transient
-//     fault cannot pin a peer to the wrong codec.
-//
-// Servers mirror the request codec in their response, so negotiation is
-// purely caller-driven and mixed-codec clusters interoperate per pair.
+// CodecCaller wraps a Caller with message-level encoding. Every request and
+// response carries the codec's version envelope; that envelope is the only
+// version check, so a caller keeps no per-peer state.
 type CodecCaller struct {
 	caller Caller
-	pref   wire.Codec
-
-	mu    sync.Mutex
-	peers map[string]wire.Codec
+	codec  wire.Codec
 }
 
-// NewCodecCaller wraps c; a nil pref defaults to gob.
-func NewCodecCaller(c Caller, pref wire.Codec) *CodecCaller {
-	if pref == nil {
-		pref = wire.Gob()
+// NewCodecCaller wraps c; a nil codec means wire.Binary().
+func NewCodecCaller(c Caller, codec wire.Codec) *CodecCaller {
+	if codec == nil {
+		codec = wire.Binary()
 	}
-	return &CodecCaller{caller: c, pref: pref, peers: make(map[string]wire.Codec)}
+	return &CodecCaller{caller: c, codec: codec}
 }
 
-// Underlying returns the wrapped Caller for raw []byte calls.
-func (cc *CodecCaller) Underlying() Caller { return cc.caller }
-
-// Preferred returns the codec this caller negotiates for.
-func (cc *CodecCaller) Preferred() wire.Codec { return cc.pref }
-
-// Negotiated reports the codec committed for a peer, or "" before the first
-// call to it (always the preferred name when preferring gob).
-func (cc *CodecCaller) Negotiated(peer string) string {
-	if cc.pref.Version() == 0 {
-		return cc.pref.Name()
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if c, ok := cc.peers[peer]; ok {
-		return c.Name()
-	}
-	return ""
-}
-
-func (cc *CodecCaller) codecFor(ctx context.Context, peer string) (wire.Codec, error) {
-	if cc.pref.Version() == 0 {
-		return cc.pref, nil
-	}
-	cc.mu.Lock()
-	c, ok := cc.peers[peer]
-	cc.mu.Unlock()
-	if ok {
-		return c, nil
-	}
-	ack, err := cc.caller.Call(ctx, peer, MethodHello, wire.MarshalHello(cc.pref.Version()))
-	var remote *RemoteError
-	switch {
-	case err == nil:
-		v, perr := wire.ParseHelloAck(ack)
-		if perr != nil {
-			return nil, fmt.Errorf("transport: negotiating with %s: %w", peer, perr)
-		}
-		c, perr = wire.ForVersion(min(v, cc.pref.Version()))
-		if perr != nil {
-			return nil, fmt.Errorf("transport: negotiating with %s: %w", peer, perr)
-		}
-	case errors.Is(err, ErrUnknownMethod), errors.As(err, &remote):
-		// The peer exists but cannot serve the probe: a pre-wire build.
-		c = wire.Gob()
-	default:
-		return nil, err
-	}
-	cc.mu.Lock()
-	cc.peers[peer] = c
-	cc.mu.Unlock()
-	return c, nil
-}
-
-// Invoke encodes req with the codec negotiated for peer, calls the method,
-// and decodes the response into resp (sniffed via the envelope, bounded by
-// the negotiated version so a misbehaving peer's future-version reply is a
-// typed error). Either message may be nil: a nil req sends the codec's empty
-// payload, a nil resp discards the response body. The returned WireStats
-// cover the request encoding even when the call itself fails.
+// Invoke encodes req, calls the method, and decodes the response into resp
+// (a response envelope newer than the codec's version is a typed
+// *wire.UnsupportedVersionError). Either message may be nil: a nil req sends
+// a bare envelope, a nil resp discards the response body. The returned
+// WireStats cover the request encoding even when the call itself fails.
 func (cc *CodecCaller) Invoke(ctx context.Context, peer, method string, req, resp wire.Message) (WireStats, error) {
-	codec, err := cc.codecFor(ctx, peer)
-	if err != nil {
-		return WireStats{}, err
-	}
+	codec := cc.codec
 	var raw []byte
 	var payload int64
+	var err error
 	if req != nil {
 		raw, payload, err = wire.MarshalMeasured(codec, req)
 	} else {
@@ -130,18 +51,15 @@ func (cc *CodecCaller) Invoke(ctx context.Context, peer, method string, req, res
 		return WireStats{}, err
 	}
 	// Inject the caller's trace context as a reserved trailing field of the
-	// binary envelope, so the server parents its spans under the caller's
-	// across the process boundary. Gob payloads (version 0) omit it — the gob
-	// fallback is the legacy path — and v1 peers that predate the field skip
-	// the unknown tag. The extra bytes are framing, never payload.
-	if codec.Version() >= 1 {
-		if sc, ok := obs.SpanContextOf(ctx); ok {
-			raw = wire.AppendTraceContext(raw, wire.TraceContext{
-				Trace: [16]byte(sc.Trace),
-				Span:  sc.Span,
-				Query: obs.QueryIDFromContext(ctx),
-			})
-		}
+	// envelope, so the server parents its spans under the caller's across
+	// the process boundary. Peers that predate the field skip the unknown
+	// tag. The extra bytes are framing, never payload.
+	if sc, ok := obs.SpanContextOf(ctx); ok {
+		raw = wire.AppendTraceContext(raw, wire.TraceContext{
+			Trace: [16]byte(sc.Trace),
+			Span:  sc.Span,
+			Query: obs.QueryIDFromContext(ctx),
+		})
 	}
 	st := WireStats{Codec: codec.Name(), Payload: payload, Framing: int64(len(raw)) - payload}
 	out, err := cc.caller.Call(ctx, peer, method, raw)
@@ -151,11 +69,10 @@ func (cc *CodecCaller) Invoke(ctx context.Context, peer, method string, req, res
 	if resp == nil {
 		return st, nil
 	}
-	respCodec, err := wire.DetectMax(out, codec.Version())
-	if err != nil {
+	if _, err := wire.DetectMax(out, codec.Version()); err != nil {
 		return st, fmt.Errorf("transport: response from %s: %w", peer, err)
 	}
-	if err := respCodec.Unmarshal(out, resp); err != nil {
+	if err := codec.Unmarshal(out, resp); err != nil {
 		return st, fmt.Errorf("transport: response from %s: %w", peer, err)
 	}
 	return st, nil

@@ -32,137 +32,72 @@ func (m *echoMsg) UnmarshalWire(d *wire.Decoder) error {
 	return d.Err()
 }
 
-// codecNode registers a handler that serves hello at the given version and
-// echoes echoMsg mirroring the request codec — the same contract the vfl
-// roles implement.
-func codecNode(t *testing.T, m *Memory, name string, version uint64) {
-	t.Helper()
-	m.Register(name, func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		switch method {
-		case MethodHello:
-			return wire.HandleHello(req, version)
-		case "echo":
-			codec, err := wire.DetectMax(req, version)
-			if err != nil {
-				return nil, err
-			}
-			var msg echoMsg
-			if err := codec.Unmarshal(req, &msg); err != nil {
-				return nil, err
-			}
-			msg.N++
-			return codec.Marshal(&msg)
-		default:
-			return nil, fmt.Errorf("%w: %s", ErrUnknownMethod, method)
-		}
-	})
-}
-
-// prewireNode has no hello handler at all — a build from before this codec
-// layer existed. It still speaks gob.
-func prewireNode(t *testing.T, m *Memory, name string) {
+// codecNode registers a handler that echoes echoMsg with N incremented,
+// checking the request envelope first — the same contract the vfl roles
+// implement.
+func codecNode(t *testing.T, m *Memory, name string) {
 	t.Helper()
 	m.Register(name, func(ctx context.Context, method string, req []byte) ([]byte, error) {
 		if method != "echo" {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownMethod, method)
 		}
+		codec, err := wire.Detect(req)
+		if err != nil {
+			return nil, err
+		}
 		var msg echoMsg
-		if err := DecodeGob(req, &msg); err != nil {
+		if err := codec.Unmarshal(req, &msg); err != nil {
 			return nil, err
 		}
 		msg.N++
-		return EncodeGob(&msg)
+		return codec.Marshal(&msg)
 	})
 }
 
-func TestCodecCallerNegotiation(t *testing.T) {
+func TestCodecCallerInvoke(t *testing.T) {
 	var m Memory
-	codecNode(t, &m, "binpeer", wire.MaxVersion)
-	codecNode(t, &m, "gobpeer", 0)
-	prewireNode(t, &m, "oldpeer")
-
-	cc := NewCodecCaller(&m, wire.Binary())
+	codecNode(t, &m, "peer")
 	ctx := context.Background()
-	for peer, wantCodec := range map[string]string{
-		"binpeer": "binary",
-		"gobpeer": "gob",
-		"oldpeer": "gob",
-	} {
+	// A nil codec is the binary codec.
+	for _, cc := range []*CodecCaller{NewCodecCaller(&m, wire.Binary()), NewCodecCaller(&m, nil)} {
 		var resp echoMsg
-		st, err := cc.Invoke(ctx, peer, "echo", &echoMsg{N: 41, BB: [][]byte{{1, 2, 3}}}, &resp)
+		st, err := cc.Invoke(ctx, "peer", "echo", &echoMsg{N: 41, BB: [][]byte{{1, 2, 3}}}, &resp)
 		if err != nil {
-			t.Fatalf("%s: %v", peer, err)
+			t.Fatal(err)
 		}
 		if resp.N != 42 {
-			t.Errorf("%s: echo returned %d", peer, resp.N)
+			t.Errorf("echo returned %d", resp.N)
 		}
-		if st.Codec != wantCodec {
-			t.Errorf("%s: request went out as %s, want %s", peer, st.Codec, wantCodec)
-		}
-		if got := cc.Negotiated(peer); got != wantCodec {
-			t.Errorf("%s: negotiated %q, want %q", peer, got, wantCodec)
+		if st.Codec != "binary" {
+			t.Errorf("request went out as %s, want binary", st.Codec)
 		}
 		if st.Payload != 3 || st.Framing <= 0 {
-			t.Errorf("%s: stats %+v, want payload 3 and positive framing", peer, st)
+			t.Errorf("stats %+v, want payload 3 and positive framing", st)
 		}
-	}
-}
-
-func TestCodecCallerGobPreferenceSkipsHello(t *testing.T) {
-	var m Memory
-	// The peer would fail loudly if it ever saw a hello.
-	m.Register("peer", func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == MethodHello {
-			t.Error("gob-preferring caller sent a hello probe")
-		}
-		var msg echoMsg
-		if err := DecodeGob(req, &msg); err != nil {
-			return nil, err
-		}
-		return EncodeGob(&msg)
-	})
-	cc := NewCodecCaller(&m, nil) // nil pref = gob
-	var resp echoMsg
-	if _, err := cc.Invoke(context.Background(), "peer", "echo", &echoMsg{N: 7}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.N != 7 {
-		t.Fatalf("echo returned %d", resp.N)
-	}
-	if got := cc.Negotiated("peer"); got != "gob" {
-		t.Fatalf("Negotiated = %q", got)
 	}
 }
 
 func TestCodecCallerTransientFaultNotCached(t *testing.T) {
 	var m Memory
-	codecNode(t, &m, "peer", wire.MaxVersion)
+	codecNode(t, &m, "peer")
 	m.InjectFailure("peer")
 	cc := NewCodecCaller(&m, wire.Binary())
 	ctx := context.Background()
 	if _, err := cc.Invoke(ctx, "peer", "echo", &echoMsg{N: 1}, nil); !errors.Is(err, ErrInjectedFailure) {
 		t.Fatalf("faulty peer: got %v", err)
 	}
-	if got := cc.Negotiated("peer"); got != "" {
-		t.Fatalf("fault cached a codec: %q", got)
-	}
-	// Once the fault clears the probe succeeds and commits to binary.
+	// The caller keeps no per-peer state, so once the fault clears the next
+	// call simply succeeds.
 	m.InjectFailure("")
 	var resp echoMsg
 	if _, err := cc.Invoke(ctx, "peer", "echo", &echoMsg{N: 1}, &resp); err != nil || resp.N != 2 {
 		t.Fatalf("recovered call: %v, N=%d", err, resp.N)
-	}
-	if got := cc.Negotiated("peer"); got != "binary" {
-		t.Fatalf("Negotiated = %q, want binary", got)
 	}
 }
 
 func TestCodecCallerRejectsFutureResponseVersion(t *testing.T) {
 	var m Memory
 	m.Register("peer", func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == MethodHello {
-			return wire.HandleHello(req, wire.MaxVersion)
-		}
 		// A misbehaving peer answering with a version-9 envelope.
 		return wire.AppendUvarint([]byte{0x00}, 9), nil
 	})

@@ -51,15 +51,3 @@ func FuzzReadResponse(f *testing.F) {
 		_, _, _ = readResponse(bytes.NewReader(data))
 	})
 }
-
-// FuzzDecodeGob ensures arbitrary bytes never panic the gob helpers.
-func FuzzDecodeGob(f *testing.F) {
-	good, _ := EncodeGob(map[string]int{"a": 1})
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0x00, 0x13})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var out map[string]int
-		_ = DecodeGob(data, &out)
-	})
-}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,8 +107,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		start := time.Now()
 		// Extract the caller's trace context from the envelope so handler
 		// spans (and any further outbound calls) link under the caller's
-		// span; requests without the field — gob, legacy peers — serve with
-		// a bare context exactly as before.
+		// span; requests without the field serve with a bare context.
 		ctx := context.Background()
 		if tc, ok := wire.ExtractTraceContext(body); ok {
 			ctx = obs.ContextWithRemoteParent(ctx, obs.SpanContext{Trace: obs.TraceID(tc.Trace), Span: tc.Span})
@@ -312,6 +312,23 @@ func writeResponse(w io.Writer, body []byte, herr error) error {
 type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "transport: remote error: " + e.Msg }
+
+// remoteSentinels are the typed errors a RemoteError unwraps to when the
+// handler's error text carries them, so errors.Is classifies a remote
+// decode failure or unknown method the same over TCP as in process.
+var remoteSentinels = []error{
+	wire.ErrCorrupt, wire.ErrTruncated, wire.ErrOverflow, wire.ErrWireType, ErrUnknownMethod,
+}
+
+// Unwrap returns the sentinel named in the remote error text, if any.
+func (e *RemoteError) Unwrap() error {
+	for _, s := range remoteSentinels {
+		if strings.Contains(e.Msg, s.Error()) {
+			return s
+		}
+	}
+	return nil
+}
 
 func readResponse(r io.Reader) (body []byte, remote error, err error) {
 	var status [1]byte

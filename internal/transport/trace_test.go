@@ -9,29 +9,24 @@ import (
 	"vfps/internal/wire"
 )
 
-// tcpEchoHandler serves hello plus echo, mirroring the request codec and
-// reporting the query ID its context carried — the server-side contract of
+// tcpEchoHandler serves echo, reporting the query ID its context carried — the server-side contract of
 // trace propagation.
 func tcpEchoHandler(seenQID *string) Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		switch method {
-		case MethodHello:
-			return wire.HandleHello(req, wire.MaxVersion)
-		case "echo":
-			*seenQID = obs.QueryIDFromContext(ctx)
-			codec, err := wire.DetectMax(req, wire.MaxVersion)
-			if err != nil {
-				return nil, err
-			}
-			var msg echoMsg
-			if err := codec.Unmarshal(req, &msg); err != nil {
-				return nil, err
-			}
-			msg.N++
-			return codec.Marshal(&msg)
-		default:
+		if method != "echo" {
 			return nil, fmt.Errorf("%w: %s", ErrUnknownMethod, method)
 		}
+		*seenQID = obs.QueryIDFromContext(ctx)
+		codec, err := wire.Detect(req)
+		if err != nil {
+			return nil, err
+		}
+		var msg echoMsg
+		if err := codec.Unmarshal(req, &msg); err != nil {
+			return nil, err
+		}
+		msg.N++
+		return codec.Marshal(&msg)
 	}
 }
 
@@ -119,8 +114,8 @@ func TestTCPTracePropagation(t *testing.T) {
 	t.Fatal("query trace missing from forest")
 }
 
-// TestTCPTraceOmittedForLegacy asserts the two paths that must not carry the
-// field: gob codecs (no envelope) and calls with no span in context.
+// TestTCPTraceOmittedForLegacy asserts that a call with no span in context
+// carries no trace field, so its byte stream matches a pre-trace build's.
 func TestTCPTraceOmittedForLegacy(t *testing.T) {
 	var seenQID string
 	srv, err := ListenTCP("127.0.0.1:0", tcpEchoHandler(&seenQID))
@@ -131,23 +126,9 @@ func TestTCPTraceOmittedForLegacy(t *testing.T) {
 	cli := NewTCPClient(map[string]string{"peer": srv.Addr()})
 	defer cli.Close()
 
-	// Gob: even with a live span, nothing is injected (version 0 payloads
-	// have no tag space) and the call succeeds against the same server.
-	clientObs := obs.NewObserver(64)
-	cli.SetObserver(clientObs)
-	gc := NewCodecCaller(cli, wire.Gob())
-	ctx, sp := clientObs.Trace.Start(context.Background(), "op")
+	// No span or query ID in context: the request byte stream is identical
+	// to a pre-trace build's, so legacy golden vectors hold.
 	var resp echoMsg
-	if _, err := gc.Invoke(ctx, "peer", "echo", &echoMsg{N: 1}, &resp); err != nil || resp.N != 2 {
-		t.Fatalf("gob echo: %v, N=%d", err, resp.N)
-	}
-	sp.End()
-	if seenQID != "" {
-		t.Fatalf("gob call leaked query ID %q", seenQID)
-	}
-
-	// Binary with no span or query ID in context: the request byte stream is
-	// identical to a pre-trace build's, so legacy golden vectors hold.
 	bc := NewCodecCaller(cli, wire.Binary())
 	if _, err := bc.Invoke(context.Background(), "peer", "echo", &echoMsg{N: 5}, &resp); err != nil || resp.N != 6 {
 		t.Fatalf("binary echo: %v, N=%d", err, resp.N)

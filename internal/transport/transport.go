@@ -4,15 +4,12 @@
 // abstraction and two implementations: an in-process transport for
 // single-binary runs and tests, and a TCP transport with length-framed
 // messages for genuinely distributed deployments (cmd/vfpsnode). Message
-// bodies are opaque here; CodecCaller layers internal/wire codecs (gob or
-// the compact binary format) with per-peer version negotiation on top of
-// either transport.
+// bodies are opaque here; CodecCaller layers the internal/wire binary codec
+// on top of either transport.
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -145,20 +142,3 @@ func (m *Memory) dispatch(ctx context.Context, peer, method string, req []byte) 
 
 // Stats exposes the traffic counters.
 func (m *Memory) Stats() *Stats { return &m.stats }
-
-// EncodeGob serialises v with encoding/gob.
-func EncodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("transport: encoding %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeGob deserialises data into v (a pointer).
-func DecodeGob(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("transport: decoding %T: %w", v, err)
-	}
-	return nil
-}

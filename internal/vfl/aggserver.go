@@ -114,26 +114,20 @@ func NewAggServer(caller transport.Caller, parties []string, scheme he.Scheme) (
 		return nil, fmt.Errorf("vfl: aggregation server needs an HE scheme")
 	}
 	a := &AggServer{caller: caller, parties: parties, scheme: scheme}
-	a.cc.Store(transport.NewCodecCaller(caller, wire.Gob()))
+	a.cc.Store(transport.NewCodecCaller(caller, nil))
 	return a, nil
 }
 
-// SetCodec configures the codec the server prefers for its own calls to the
-// participants (negotiated down per peer when a participant only speaks gob)
-// and bounds which inbound protocol versions it accepts. Responses always
-// mirror the requester's codec.
+// SetCodec sets the codec the server speaks, on its own calls to the
+// participants and on the requests it serves (wire.Binary by default).
 func (a *AggServer) SetCodec(c wire.Codec) {
 	a.setCodec(c)
 	a.cc.Store(transport.NewCodecCaller(a.caller, a.codec()))
 }
 
-// Negotiated reports the codec name in use towards one participant ("" before
-// the first call reaches that peer).
-func (a *AggServer) Negotiated(party string) string { return a.cc.Load().Negotiated(party) }
-
-// call performs one outbound RPC through the negotiated codec and charges the
-// encoded request/response bytes to the server's counters. The Messages
-// counter stays responder-side, so round trips are not double-counted.
+// call performs one outbound RPC and charges the encoded request/response
+// bytes to the server's counters. The Messages counter stays
+// responder-side, so round trips are not double-counted.
 func (a *AggServer) call(ctx context.Context, node, method string, req, resp wire.Message) error {
 	stats, err := a.cc.Load().Invoke(ctx, node, method, req, resp)
 	a.counts.Add(costmodel.Raw{BytesSent: stats.Payload, FramingBytes: stats.Framing})
@@ -223,14 +217,9 @@ func (a *AggServer) SetObserver(o *obs.Observer, instance string) {
 	DeclareShardMetrics(o.Registry())
 }
 
-// Handler returns the server's RPC handler. Requests are decoded with the
-// codec they arrived in (bounded by the configured codec's version) and
-// responses mirror it.
+// Handler returns the server's RPC handler.
 func (a *AggServer) Handler() transport.Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == transport.MethodHello {
-			return wire.HandleHello(req, a.codec().Version())
-		}
 		codec, err := a.reqCodec(req)
 		if err != nil {
 			return nil, err
@@ -266,7 +255,7 @@ func (a *AggServer) Handler() transport.Handler {
 			// The threshold scan's per-round responses carry no chunk field;
 			// pass chunkBytes 0 so only the delta trim applies.
 			resp.Aggregated, _, resp.CachedBlocks, sent =
-				a.trimAndChunk(codec, r.Query, r.PseudoIDs, agg, factor, packBits, opt, 0)
+				a.trimAndChunk(r.Query, r.PseudoIDs, agg, factor, packBits, opt, 0)
 			return reply(codec, resp, &a.counts, &a.roleObs,
 				costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
 		case MethodShardCollect:
@@ -602,10 +591,10 @@ func (a *AggServer) collectUniform(names []string, dictate int, collect func(dic
 // aggregate vector: delta withholding against the sent cache (aggregation is
 // recomputed every round, but homomorphic addition is deterministic, so an
 // all-inputs-identical round reproduces the aggregate byte for byte), then
-// chunk framing when the response codec supports tagged fields. Returns the
-// whole-blob wire vector (nil when chunked), the chunk list, the withheld
-// indices, and the items actually sent.
-func (a *AggServer) trimAndChunk(codec wire.Codec, query int, pids []int, agg [][]byte, factor, packBits int, opt payloadOpts, chunkBytes int) (out [][]byte, chunks [][][]byte, cached []int, sent int) {
+// chunk framing when requested. Returns the whole-blob wire vector (nil when
+// chunked), the chunk list, the withheld indices, and the items actually
+// sent.
+func (a *AggServer) trimAndChunk(query int, pids []int, agg [][]byte, factor, packBits int, opt payloadOpts, chunkBytes int) (out [][]byte, chunks [][][]byte, cached []int, sent int) {
 	out, sent = agg, len(agg)
 	if opt.delta {
 		keys := blockKeys("leader", query, packBits, factor, pids)
@@ -618,7 +607,7 @@ func (a *AggServer) trimAndChunk(codec wire.Codec, query int, pids []int, agg []
 			sent = len(agg) - len(cached)
 		}
 	}
-	if chunkBytes > 0 && codec.Version() >= 1 && len(out) > 0 {
+	if chunkBytes > 0 && len(out) > 0 {
 		chunks = wire.ChunkCiphers(out, chunkBytes)
 		out = nil
 	}
@@ -679,7 +668,7 @@ func (a *AggServer) collectAll(ctx context.Context, codec wire.Codec, r CollectA
 	}
 	var sent int
 	resp.Aggregated, resp.Chunked, resp.CachedBlocks, sent =
-		a.trimAndChunk(codec, r.Query, pids, agg, factor, packBits, opt, r.ChunkBytes)
+		a.trimAndChunk(r.Query, pids, agg, factor, packBits, opt, r.ChunkBytes)
 	return reply(codec, resp, &a.counts, &a.roleObs,
 		costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
 }
@@ -766,17 +755,7 @@ func (a *AggServer) faginCollect(ctx context.Context, codec wire.Codec, r FaginC
 	}
 	var sent int
 	resp.Aggregated, resp.Chunked, resp.CachedBlocks, sent =
-		a.trimAndChunk(codec, r.Query, candidates, agg, factor, packBits, opt, r.ChunkBytes)
+		a.trimAndChunk(r.Query, candidates, agg, factor, packBits, opt, r.ChunkBytes)
 	return reply(codec, resp, &a.counts, &a.roleObs,
 		costmodel.Raw{ItemsSent: int64(sent), Messages: 1})
-}
-
-// mustGob encodes a value that cannot fail (our message structs); a failure
-// is a programming error.
-func mustGob(v any) []byte {
-	b, err := transport.EncodeGob(v)
-	if err != nil {
-		panic(fmt.Sprintf("vfl: encoding %T: %v", v, err))
-	}
-	return b
 }

@@ -3,7 +3,6 @@ package vfl
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"vfps/internal/costmodel"
 	"vfps/internal/dataset"
@@ -54,12 +53,11 @@ type ClusterConfig struct {
 	// its own window) and by non-Paillier schemes.
 	EncryptWindow int
 	// Mont selects the modular-arithmetic backend of every Paillier scheme the
-	// cluster configures: 0 follows the process default (the Montgomery kernel
-	// of internal/mont, unless VFPS_MONT=0), positive forces the kernel,
-	// negative forces pure math/big. Both backends compute identical residues
-	// — ciphertexts, sums and selections are bit-identical — so the stdlib
-	// path exists for auditability and for machines where the portable kernel
-	// does not pay off. Ignored by non-Paillier schemes.
+	// cluster configures: 0 or positive runs the Montgomery kernel of
+	// internal/mont, negative forces pure math/big. Both backends compute
+	// identical residues — ciphertexts, sums and selections are
+	// bit-identical — so the math/big path is the reference the kernel is
+	// checked against. Ignored by non-Paillier schemes.
 	Mont int
 	// Pack enables Paillier slot packing: participants lay several
 	// fixed-point partial distances side by side in each plaintext, cutting
@@ -89,24 +87,15 @@ type ClusterConfig struct {
 	// meaningful with Pack+PackAdaptive; 0 keeps the in-band negotiation.
 	PackHint int
 	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
-	// chunks on the binary codec (new tagged field; gob and legacy peers keep
-	// whole-blob framing), letting the leader pipeline chunk decryption.
+	// chunks, letting the leader pipeline chunk decryption.
 	ChunkBytes int
 	// DeltaCache enables cross-round delta encoding: both ends of each link
 	// cache ciphertext blocks by (query, geometry, pseudo-ID segment) and
 	// repeat queries resend only changed blocks.
 	DeltaCache bool
-	// SpeculateTA enables speculative decryption on the threshold variant:
-	// round r+1's collection and candidate decryption overlap round r's
-	// stopping-rule round trip, discarded (waste counted in
-	// vfps_ta_speculative_waste_total) when the threshold stops. Selections
-	// are identical with the knob on or off.
-	SpeculateTA bool
-	// Wire selects the protocol codec every role speaks: "gob" (the
-	// self-describing stdlib encoding, the default) or "binary" (the compact
-	// versioned wire format of internal/wire). Empty falls back to the
-	// VFPS_WIRE environment variable, then "gob". Selection results are
-	// bit-identical across codecs; only bytes on the wire change.
+	// Wire names the protocol codec every role speaks. The compact binary
+	// format of internal/wire is the only one: "" and "binary" select it,
+	// anything else fails cluster construction.
 	Wire string
 	// Obs installs metrics and tracing on the transport, every role and the
 	// HE schemes. Nil falls back to the process-wide default observer
@@ -132,7 +121,6 @@ type Cluster struct {
 	pubScheme   he.Scheme
 	privScheme  he.Scheme
 	parallelism int
-	codec       wire.Codec
 	observer    *obs.Observer
 	instance    string
 
@@ -145,25 +133,12 @@ type Cluster struct {
 	shardWorkers int
 }
 
-// ResolveWireCodec maps a wire knob value to a codec: the explicit name wins,
-// an empty name falls back to the VFPS_WIRE environment variable, and an
-// empty environment means gob (the pre-wire default).
-func ResolveWireCodec(name string) (wire.Codec, error) {
-	if name == "" {
-		name = os.Getenv("VFPS_WIRE")
-	}
-	if name == "" {
-		return wire.Gob(), nil
-	}
-	return wire.ByName(name)
-}
-
 // Observer returns the cluster's observer (nil when observability is off).
 func (c *Cluster) Observer() *obs.Observer { return c.observer }
 
 // configureScheme applies the cluster parallelism, arithmetic-backend and
 // pooling settings to an HE scheme; only Paillier has tunables today. The
-// Mont knob is applied first so any pool started below builds its fixed-base
+// backend is applied first so any pool started below builds its fixed-base
 // tables in the selected representation. A shared PoolSet wins over a private
 // pool and attaches even at Parallelism 1 (pooling never changes call order,
 // so the determinism baseline is preserved); otherwise a private pool is
@@ -236,8 +211,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if instance == "" {
 		instance = "local"
 	}
-	codec, err := ResolveWireCodec(cfg.Wire)
-	if err != nil {
+	if _, err := wire.ByName(cfg.Wire); err != nil {
 		return nil, err
 	}
 	if reg := o.Registry(); reg != nil {
@@ -246,11 +220,11 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		costmodel.DeclareMetrics(reg)
 		declareWire(reg)
 		declareDelta(reg)
-		declareTAWaste(reg)
 	}
 	tr := &transport.Memory{}
 	tr.SetObserver(o)
 	var ks *KeyServer
+	var err error
 	switch cfg.Scheme {
 	case "secagg":
 		ks, err = NewKeyServerSecAgg(cfg.Partition.P(), cfg.ShuffleSeed^0x5eca66)
@@ -269,10 +243,9 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks.SetCodec(codec)
 	tr.Register(KeyServerName, ks.Handler())
 
-	pubScheme, err := FetchPublicSchemeWire(ctx, transport.NewCodecCaller(tr, codec), KeyServerName)
+	pubScheme, err := FetchPublicSchemeWire(ctx, transport.NewCodecCaller(tr, nil), KeyServerName)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +266,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		}
 		part.SetParallelism(cfg.Parallelism)
 		part.SetObserver(o, instance)
-		part.SetCodec(codec)
 		parties[i] = part
 		partyNames[i] = PartyName(i)
 		tr.Register(partyNames[i], part.Handler())
@@ -304,13 +276,12 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	agg.SetParallelism(cfg.Parallelism)
 	agg.SetObserver(o, instance)
-	agg.SetCodec(codec)
 	if cfg.PackAdaptive && cfg.Pack {
 		agg.SetPackHint(cfg.PackHint)
 	}
 	tr.Register(AggServerName, agg.Handler())
 
-	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.ShardWorkers, cfg.Parallelism, codec, o, instance)
+	workers, plan, err := buildShardWorkers(tr, partyNames, pubScheme, cfg.ShardWorkers, cfg.Parallelism, o, instance)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +293,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	privScheme, err := FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(tr, codec), KeyServerName)
+	privScheme, err := FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(tr, nil), KeyServerName)
 	if err != nil {
 		return nil, err
 	}
@@ -340,10 +311,8 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 	}
 	leader.SetParallelism(cfg.Parallelism)
 	leader.SetObserver(o, instance)
-	leader.SetCodec(codec)
 	leader.SetPayloadOptions(cfg.PackAdaptive && cfg.Pack, cfg.ChunkBytes, cfg.DeltaCache)
 	leader.SetExtraCountNodes(workerNames)
-	leader.SetSpeculativeTA(cfg.SpeculateTA)
 	return &Cluster{
 		Transport:    tr,
 		Leader:       leader,
@@ -355,7 +324,6 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 		pubScheme:    pubScheme,
 		privScheme:   privScheme,
 		parallelism:  cfg.Parallelism,
-		codec:        codec,
 		observer:     o,
 		instance:     instance,
 		partyNames:   partyNames,
@@ -371,7 +339,7 @@ func NewLocalCluster(ctx context.Context, cfg ClusterConfig) (*Cluster, error) {
 // name, which is what lets a membership change rebuild the shard layer in
 // place). Returns (nil, nil, nil) when the plan collapses to the unsharded
 // path.
-func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.Scheme, shardWorkers, parallelism int, codec wire.Codec, o *obs.Observer, instance string) ([]*AggServer, *ShardPlan, error) {
+func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.Scheme, shardWorkers, parallelism int, o *obs.Observer, instance string) ([]*AggServer, *ShardPlan, error) {
 	size, shards := PlanSubtrees(len(partyNames), shardWorkers)
 	if shardWorkers < 2 || shards < 2 {
 		return nil, nil, nil
@@ -387,7 +355,6 @@ func buildShardWorkers(tr *transport.Memory, partyNames []string, pubScheme he.S
 		w.SetParallelism(parallelism)
 		w.SetRole(AggWorkerName(wi))
 		w.SetObserver(o, instance)
-		w.SetCodec(codec)
 		name := AggWorkerName(wi)
 		tr.Register(name, w.Handler())
 		workers = append(workers, w)
@@ -432,7 +399,6 @@ func (c *Cluster) AddParticipant(x *mat.Matrix) (string, error) {
 	}
 	part.SetParallelism(c.parallelism)
 	part.SetObserver(c.observer, c.instance)
-	part.SetCodec(c.codec)
 	name := PartyName(index)
 	c.Transport.Register(name, part.Handler())
 	c.Parties = append(c.Parties, part)
@@ -490,7 +456,7 @@ func (c *Cluster) rewire() error {
 	if err := c.Agg.SetParties(c.partyNames); err != nil {
 		return err
 	}
-	workers, plan, err := buildShardWorkers(c.Transport, c.partyNames, c.pubScheme, c.shardWorkers, c.parallelism, c.codec, c.observer, c.instance)
+	workers, plan, err := buildShardWorkers(c.Transport, c.partyNames, c.pubScheme, c.shardWorkers, c.parallelism, c.observer, c.instance)
 	if err != nil {
 		return err
 	}

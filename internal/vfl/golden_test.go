@@ -3,14 +3,15 @@ package vfl
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"vfps/internal/costmodel"
-	"vfps/internal/dataset"
 	"vfps/internal/transport"
 	"vfps/internal/wire"
 )
@@ -148,57 +149,42 @@ func TestGoldenVectors(t *testing.T) {
 }
 
 // TestWireRoundTripAllMessages round-trips every protocol message through
-// both codecs and requires exact equality.
+// the binary codec and requires exact equality.
 func TestWireRoundTripAllMessages(t *testing.T) {
-	for _, codec := range []wire.Codec{wire.Gob(), wire.Binary()} {
-		for _, msg := range allMessages() {
-			raw, err := codec.Marshal(msg)
-			if err != nil {
-				t.Fatalf("%s %T: %v", codec.Name(), msg, err)
-			}
-			back := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wire.Message)
-			if err := codec.Unmarshal(raw, back); err != nil {
-				t.Fatalf("%s %T: %v", codec.Name(), msg, err)
-			}
-			if !reflect.DeepEqual(msg, back) {
-				t.Errorf("%s %T: round trip %+v -> %+v", codec.Name(), msg, back, msg)
-			}
-			// Sniffing must route the payload to the codec that produced it.
-			detected, err := wire.Detect(raw)
-			if err != nil {
-				t.Fatalf("%s %T: detect: %v", codec.Name(), msg, err)
-			}
-			if detected.Name() != codec.Name() {
-				t.Errorf("%s %T sniffed as %s", codec.Name(), msg, detected.Name())
-			}
+	codec := wire.Binary()
+	for _, msg := range allMessages() {
+		raw, err := codec.Marshal(msg)
+		if err != nil {
+			t.Fatalf("%T: %v", msg, err)
+		}
+		if _, err := wire.Detect(raw); err != nil {
+			t.Fatalf("%T: envelope check: %v", msg, err)
+		}
+		back := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wire.Message)
+		if err := codec.Unmarshal(raw, back); err != nil {
+			t.Fatalf("%T: %v", msg, err)
+		}
+		if !reflect.DeepEqual(msg, back) {
+			t.Errorf("%T: round trip %+v -> %+v", msg, back, msg)
 		}
 	}
 }
 
-// TestMarshalMeasuredBreakdown checks the payload/framing split both codecs
-// report: payload (blob content plus 8 bytes per float scalar) is a property
-// of the message, identical across codecs, and never exceeds the encoding.
+// TestMarshalMeasuredBreakdown checks the payload/framing split: payload
+// (blob content plus 8 bytes per float scalar) never exceeds the encoding,
+// and framing covers at least the envelope.
 func TestMarshalMeasuredBreakdown(t *testing.T) {
-	gob, bin := wire.Gob(), wire.Binary()
 	for _, msg := range allMessages() {
-		graw, gp, err := wire.MarshalMeasured(gob, msg)
+		raw, p, err := wire.MarshalMeasured(wire.Binary(), msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		braw, bp, err := wire.MarshalMeasured(bin, msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gp != bp {
-			t.Errorf("%T: payload differs across codecs: gob %d, binary %d", msg, gp, bp)
-		}
-		if bp < 0 || bp > int64(len(braw)) || gp > int64(len(graw)) {
-			t.Errorf("%T: payload %d outside [0, len(raw)] (binary %d, gob %d bytes)",
-				msg, bp, len(braw), len(graw))
+		if p < 0 || p > int64(len(raw)) {
+			t.Errorf("%T: payload %d outside [0, %d]", msg, p, len(raw))
 		}
 		// framing = len(raw) - payload; the binary envelope alone is 2 bytes.
-		if int64(len(braw))-bp < 2 {
-			t.Errorf("%T: binary framing %d < envelope size", msg, int64(len(braw))-bp)
+		if int64(len(raw))-p < 2 {
+			t.Errorf("%T: framing %d < envelope size", msg, int64(len(raw))-p)
 		}
 	}
 }
@@ -218,177 +204,80 @@ func TestUnknownTagSkipped(t *testing.T) {
 	}
 }
 
-func wireTestCluster(t *testing.T, pt *dataset.Partition, scheme, wireName string) *Cluster {
-	t.Helper()
+// TestEnvelopeCheckEveryRole pins the envelope as the only version check:
+// every serving role — key server, participant, aggregation server, shard
+// worker — answers a request without the binary envelope (what a build that
+// spoke encoding/gob sends, body-less calls included) with a typed
+// wire.ErrCorrupt, and a future-version envelope with a typed rejection,
+// over both the in-memory transport and TCP. Nothing is misparsed, nothing
+// panics or hangs.
+func TestEnvelopeCheckEveryRole(t *testing.T) {
+	_, pt := testPartition(t, "Bank", 20, 4)
 	cl, err := NewLocalCluster(context.Background(), ClusterConfig{
-		Partition:   pt,
-		Scheme:      scheme,
-		KeyBits:     256,
-		ShuffleSeed: 7,
-		Batch:       8,
-		Wire:        wireName,
+		Partition: pt, Scheme: "plain", ShuffleSeed: 7, Batch: 8, ShardWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	return cl
-}
-
-// TestCodecSelectionIdentity is the refactor's core contract: for every
-// protection scheme, a cluster speaking the compact binary codec produces the
-// bit-identical similarity matrix and neighbour sets of a gob cluster. Only
-// bytes on the wire may change.
-func TestCodecSelectionIdentity(t *testing.T) {
-	ctx := context.Background()
-	for _, scheme := range []string{"paillier", "plain", "secagg", "dp"} {
-		t.Run(scheme, func(t *testing.T) {
-			_, pt := testPartition(t, "Bank", 40, 3)
-			gc := wireTestCluster(t, pt, scheme, "gob")
-			bc := wireTestCluster(t, pt, scheme, "binary")
-			queries := []int{0, 13, 39}
-
-			for _, variant := range []Variant{VariantBase, VariantFagin} {
-				grep, err := gc.Leader.Similarities(ctx, queries, 3, variant)
-				if err != nil {
-					t.Fatal(err)
-				}
-				brep, err := bc.Leader.Similarities(ctx, queries, 3, variant)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range grep.W {
-					for j := range grep.W[i] {
-						if grep.W[i][j] != brep.W[i][j] {
-							t.Fatalf("%s: W[%d][%d] differs across codecs: %v vs %v",
-								variant, i, j, grep.W[i][j], brep.W[i][j])
-						}
-					}
-				}
-			}
-
-			gq, err := gc.Leader.RunQuery(ctx, queries[1], 3, VariantFagin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bq, err := bc.Leader.RunQuery(ctx, queries[1], 3, VariantFagin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fmt.Sprint(gq.Neighbors) != fmt.Sprint(bq.Neighbors) {
-				t.Fatalf("neighbours differ across codecs: %v vs %v", gq.Neighbors, bq.Neighbors)
-			}
-
-			// Both sides committed the codec they were configured with.
-			if got := bc.Leader.Negotiated(AggServerName); got != "binary" {
-				t.Fatalf("binary leader negotiated %q with aggserver", got)
-			}
-			if got := gc.Leader.Negotiated(AggServerName); got != "gob" {
-				t.Fatalf("gob leader negotiated %q with aggserver", got)
-			}
-		})
+	if len(cl.Workers) == 0 {
+		t.Fatal("cluster built no shard workers")
 	}
-}
-
-// TestMixedCodecSelectionIdentity drops one gob-only party into an otherwise
-// binary consortium: every caller negotiates down to gob for that peer,
-// stays on binary for the rest, and the selection output is bit-identical to
-// an all-gob cluster.
-func TestMixedCodecSelectionIdentity(t *testing.T) {
-	ctx := context.Background()
-	_, pt := testPartition(t, "Bank", 40, 3)
-	queries := []int{0, 13, 39}
-
-	gc := wireTestCluster(t, pt, "paillier", "gob")
-	mixed := wireTestCluster(t, pt, "paillier", "binary")
-	mixed.Parties[1].SetCodec(wire.Gob()) // the legacy node
-
-	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		grep, err := gc.Leader.Similarities(ctx, queries, 3, variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mrep, err := mixed.Leader.Similarities(ctx, queries, 3, variant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range grep.W {
-			for j := range grep.W[i] {
-				if grep.W[i][j] != mrep.W[i][j] {
-					t.Fatalf("%s: W[%d][%d] differs in mixed cluster: %v vs %v",
-						variant, i, j, grep.W[i][j], mrep.W[i][j])
-				}
-			}
-		}
-	}
-
-	// Per-peer negotiation: binary towards binary peers, gob towards the
-	// legacy party — on both roles that fan out to parties.
-	for caller, want := range map[string]map[string]string{
-		"leader": {AggServerName: "binary", PartyName(0): "binary", PartyName(1): "gob", PartyName(2): "binary"},
-		"agg":    {PartyName(0): "binary", PartyName(1): "gob", PartyName(2): "binary"},
-	} {
-		for peer, codec := range want {
-			var got string
-			if caller == "leader" {
-				got = mixed.Leader.Negotiated(peer)
-			} else {
-				got = mixed.Agg.Negotiated(peer)
-			}
-			if got != codec {
-				t.Fatalf("%s negotiated %q with %s, want %q", caller, got, peer, codec)
-			}
-		}
-	}
-}
-
-// TestNegotiationHandshake proves the three negotiation outcomes at the node
-// level: binary↔binary commits v1, binary↔gob commits gob, and an envelope
-// from a future version is rejected with the typed error, never misparsed.
-func TestNegotiationHandshake(t *testing.T) {
-	ctx := context.Background()
-	_, pt := testPartition(t, "Bank", 20, 2)
-	bc := wireTestCluster(t, pt, "plain", "binary")
-	gc := wireTestCluster(t, pt, "plain", "gob")
-
-	// binary ↔ binary: the hello ack commits v1.
-	ack, err := bc.Transport.Call(ctx, PartyName(0), transport.MethodHello, wire.MarshalHello(wire.MaxVersion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := wire.ParseHelloAck(ack); err != nil || v != 1 {
-		t.Fatalf("binary party committed version %d (err %v), want 1", v, err)
-	}
-
-	// binary ↔ gob: a gob-configured node answers version 0 (gob).
-	ack, err = gc.Transport.Call(ctx, PartyName(0), transport.MethodHello, wire.MarshalHello(wire.MaxVersion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := wire.ParseHelloAck(ack); err != nil || v != 0 {
-		t.Fatalf("gob party committed version %d (err %v), want 0", v, err)
-	}
-
-	// A future envelope (version 2) must be rejected with the typed error by
-	// every role, whatever its configured codec.
-	future := []byte{0x00, 0x02}
-	for _, tc := range []struct {
-		cl     *Cluster
-		node   string
-		method string
+	roles := []struct {
+		node, method string
+		h            transport.Handler
+		req          any // the request message a gob build would encode
 	}{
-		{bc, PartyName(0), MethodEncryptAll},
-		{bc, AggServerName, MethodCollectAll},
-		{bc, KeyServerName, MethodPublicKey},
-		{gc, PartyName(0), MethodEncryptAll},
-	} {
-		_, err := tc.cl.Transport.Call(ctx, tc.node, tc.method, future)
-		var uv *wire.UnsupportedVersionError
-		if !errors.As(err, &uv) {
-			t.Fatalf("%s %s accepted future envelope: err = %v", tc.node, tc.method, err)
+		{KeyServerName, MethodPublicKey, cl.Keys.Handler(), nil},
+		{PartyName(0), MethodEncryptAll, cl.Parties[0].Handler(), EncryptAllReq{Query: 3}},
+		{AggServerName, MethodCollectAll, cl.Agg.Handler(), CollectAllReq{Query: 3}},
+		{AggWorkerName(0), MethodShardCollect, cl.Workers[0].Handler(), ShardCollectReq{Query: 3, All: true}},
+	}
+
+	// Over TCP, each role's handler sits behind its own listener.
+	dir := map[string]string{}
+	for _, r := range roles {
+		srv, err := transport.ListenTCP("127.0.0.1:0", r.h)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if uv.Version != 2 {
-			t.Fatalf("%s reported version %d, want 2", tc.node, uv.Version)
+		t.Cleanup(func() { srv.Close() })
+		dir[r.node] = srv.Addr()
+	}
+	tcp := transport.NewTCPClient(dir)
+	t.Cleanup(func() { tcp.Close() })
+
+	for _, tr := range []struct {
+		name   string
+		caller transport.Caller
+	}{{"memory", cl.Transport}, {"tcp", tcp}} {
+		for _, r := range roles {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			var gobReq []byte // a body-less gob call sends no bytes at all
+			if r.req != nil {
+				var buf bytes.Buffer
+				if err := gob.NewEncoder(&buf).Encode(r.req); err != nil {
+					t.Fatal(err)
+				}
+				gobReq = buf.Bytes()
+			}
+			for _, req := range [][]byte{gobReq, nil, {0x00, 0x00}} {
+				_, err := tr.caller.Call(ctx, r.node, r.method, req)
+				if !errors.Is(err, wire.ErrCorrupt) {
+					t.Errorf("%s %s %s(%x): got %v, want wire.ErrCorrupt", tr.name, r.node, r.method, req, err)
+				}
+			}
+			// A future envelope (version 2) is rejected, never misparsed:
+			// typed in process, by its message over TCP.
+			_, err := tr.caller.Call(ctx, r.node, r.method, []byte{0x00, 0x02})
+			var uv *wire.UnsupportedVersionError
+			if tr.name == "memory" && (!errors.As(err, &uv) || uv.Version != 2) {
+				t.Errorf("%s accepted future envelope: err = %v", r.node, err)
+			}
+			if tr.name == "tcp" && (err == nil || !strings.Contains(err.Error(), "unsupported protocol version 2")) {
+				t.Errorf("tcp %s accepted future envelope: err = %v", r.node, err)
+			}
+			cancel()
 		}
 	}
 }

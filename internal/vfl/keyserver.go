@@ -25,8 +25,7 @@ type KeyServer struct {
 	epsilon, delta float64
 }
 
-// SetCodec bounds which inbound protocol versions the key server accepts;
-// responses always mirror the requester's codec.
+// SetCodec sets the codec the key server speaks (wire.Binary by default).
 func (k *KeyServer) SetCodec(c wire.Codec) { k.setCodec(c) }
 
 // NewKeyServer creates the role. scheme is "paillier" (keyBits sized
@@ -64,13 +63,9 @@ func NewKeyServerDP(epsilon, delta float64, noiseSeed int64) (*KeyServer, error)
 	return &KeyServer{scheme: "dp", epsilon: epsilon, delta: delta, maskSeed: noiseSeed}, nil
 }
 
-// Handler returns the RPC handler for the key-server role. Responses mirror
-// the codec the request arrived in.
+// Handler returns the RPC handler for the key-server role.
 func (k *KeyServer) Handler() transport.Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == transport.MethodHello {
-			return wire.HandleHello(req, k.codec().Version())
-		}
 		codec, err := k.reqCodec(req)
 		if err != nil {
 			return nil, err
@@ -96,15 +91,8 @@ func (k *KeyServer) Handler() transport.Handler {
 	}
 }
 
-// FetchPublicScheme obtains an encrypt/add-only Scheme from the key server
-// over plain gob (the pre-wire behaviour); see FetchPublicSchemeWire for
-// codec-negotiated fetches.
-func FetchPublicScheme(ctx context.Context, c transport.Caller, keyNode string) (he.Scheme, error) {
-	return FetchPublicSchemeWire(ctx, transport.NewCodecCaller(c, wire.Gob()), keyNode)
-}
-
 // FetchPublicSchemeWire obtains an encrypt/add-only Scheme from the key
-// server through a codec-negotiating caller.
+// server.
 func FetchPublicSchemeWire(ctx context.Context, cc *transport.CodecCaller, keyNode string) (he.Scheme, error) {
 	var resp PublicKeyResp
 	if _, err := cc.Invoke(ctx, keyNode, MethodPublicKey, nil, &resp); err != nil {
@@ -129,15 +117,8 @@ func FetchPublicSchemeWire(ctx context.Context, cc *transport.CodecCaller, keyNo
 	}
 }
 
-// FetchPrivateScheme obtains the full Scheme (with decryption) over plain
-// gob; only the leader should call this. See FetchPrivateSchemeWire for
-// codec-negotiated fetches.
-func FetchPrivateScheme(ctx context.Context, c transport.Caller, keyNode string) (he.Scheme, error) {
-	return FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(c, wire.Gob()), keyNode)
-}
-
-// FetchPrivateSchemeWire obtains the full Scheme through a codec-negotiating
-// caller.
+// FetchPrivateSchemeWire obtains the full Scheme (with decryption) from the
+// key server; only the leader should call this.
 func FetchPrivateSchemeWire(ctx context.Context, cc *transport.CodecCaller, keyNode string) (he.Scheme, error) {
 	var resp PrivateKeyResp
 	if _, err := cc.Invoke(ctx, keyNode, MethodPrivateKey, nil, &resp); err != nil {

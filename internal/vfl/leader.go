@@ -60,10 +60,6 @@ type Leader struct {
 	chunkBytes int
 	delta      bool
 	recvCache  deltaCache
-
-	// speculate overlaps the threshold variant's round r+1 collection and
-	// decryption with round r's stopping-rule evaluation (SetSpeculativeTA).
-	speculate bool
 }
 
 // NewLeader wires the leader to the cluster. batch is the Fagin mini-batch
@@ -82,24 +78,19 @@ func NewLeader(caller transport.Caller, aggNode string, parties []string, scheme
 		batch = 32
 	}
 	l := &Leader{caller: caller, agg: aggNode, parties: parties, scheme: scheme, batch: batch}
-	l.cc.Store(transport.NewCodecCaller(caller, wire.Gob()))
+	l.cc.Store(transport.NewCodecCaller(caller, nil))
 	return l, nil
 }
 
-// SetCodec configures the codec the leader prefers for its calls (negotiated
-// down per peer when a node only speaks gob).
+// SetCodec sets the codec the leader speaks (wire.Binary by default).
 func (l *Leader) SetCodec(c wire.Codec) {
 	l.setCodec(c)
 	l.cc.Store(transport.NewCodecCaller(l.caller, l.codec()))
 }
 
-// Negotiated reports the codec name in use towards one node ("" before the
-// first call to it).
-func (l *Leader) Negotiated(node string) string { return l.cc.Load().Negotiated(node) }
-
-// call performs one outbound RPC through the negotiated codec and charges the
-// encoded request/response bytes to the leader's counters. The Messages
-// counter stays responder-side, so round trips are not double-counted.
+// call performs one outbound RPC and charges the encoded request/response
+// bytes to the leader's counters. The Messages counter stays
+// responder-side, so round trips are not double-counted.
 func (l *Leader) call(ctx context.Context, node, method string, req, resp wire.Message) error {
 	stats, err := l.cc.Load().Invoke(ctx, node, method, req, resp)
 	l.counts.Add(costmodel.Raw{BytesSent: stats.Payload, FramingBytes: stats.Framing})
@@ -118,7 +109,6 @@ func (l *Leader) SetObserver(o *obs.Observer, instance string) {
 	l.instance = instance
 	l.counts.Register(o.Registry(), instance, "leader")
 	DeclareDeltaMetrics(o.Registry())
-	DeclareTAMetrics(o.Registry())
 }
 
 // Instance returns the observer instance label ("" when observability is
@@ -152,23 +142,11 @@ func (l *Leader) SetParties(parties []string) error {
 	return nil
 }
 
-// SetSpeculativeTA enables speculative decryption on the threshold variant:
-// while the leader fetches and decrypts round r's frontier bound τ and
-// evaluates the stopping rule, round r+1's sorted access, aggregation and
-// candidate decryption already run in the background. When the scan
-// continues, the next round's distances are ready; when it stops, the
-// speculation is cancelled and discarded, and the decryptions it completed
-// are counted in vfps_ta_speculative_waste_total. Selections are identical
-// with speculation on or off — a discarded round never touches the scan
-// state. Off by default (the zero-waste baseline).
-func (l *Leader) SetSpeculativeTA(on bool) { l.speculate = on }
-
 // SetPayloadOptions configures the ciphertext-payload optimisations the
 // leader requests from the aggregation server: adaptive pack-width
 // negotiation (effective only when the parties slot-pack), chunk framing of
 // collection responses (chunkBytes > 0 splits packed vectors into
-// ≤chunkBytes chunks the leader decrypts as a pipeline; requires the binary
-// codec, gob peers silently keep whole-blob framing), and cross-round delta
+// ≤chunkBytes chunks the leader decrypts as a pipeline), and cross-round delta
 // caching (repeat queries resend only changed ciphertext blocks). All three
 // default to off, which keeps the wire image and the selections byte-
 // identical to previous protocol versions.
@@ -536,28 +514,15 @@ func (l *Leader) fanOut(ctx context.Context, fn func(pi int, party string) error
 	return nil
 }
 
-// taRoundResult is one TA scan round's outcome: the sorted-access batches
-// merged against the already-seen set, plus the new candidates' decrypted
-// complete distances.
-type taRoundResult struct {
-	newIDs    []int
-	dist      []float64
-	decrypts  int // candidate decryptions performed (waste if discarded)
-	exhausted bool
-	err       error
-}
-
 // taRound runs one threshold-scan round at the given depth: synchronized
 // sorted access over every party, then aggregate-and-decrypt for the
-// candidates not yet in seen. seen is only read — the caller commits a
-// round's IDs after deciding to use it — so a speculative round can execute
-// while the caller still evaluates the previous round's stopping rule.
-func (l *Leader) taRound(ctx context.Context, query, depth int, seen map[int]bool) *taRoundResult {
-	r := &taRoundResult{}
+// candidates not yet in seen, which it adds to seen. exhausted reports that
+// every party's ranking has run out.
+func (l *Leader) taRound(ctx context.Context, query, depth int, seen map[int]bool) (newIDs []int, dist []float64, exhausted bool, err error) {
 	// Sorted access: next batch of every party's ranking, all parties in
 	// flight concurrently; merge in party order for determinism.
 	batches := make([][]int, len(l.parties))
-	err := l.fanOut(ctx, func(pi int, party string) error {
+	err = l.fanOut(ctx, func(pi int, party string) error {
 		var resp RankingBatchResp
 		if err := l.call(ctx, party, MethodRankingBatch,
 			&RankingBatchReq{Query: query, Offset: depth, Count: l.batch}, &resp); err != nil {
@@ -567,128 +532,56 @@ func (l *Leader) taRound(ctx context.Context, query, depth int, seen map[int]boo
 		return nil
 	})
 	if err != nil {
-		r.err = err
-		return r
+		return nil, nil, false, err
 	}
-	r.exhausted = true
-	dup := make(map[int]bool) // a pid may surface in several parties' batches
+	exhausted = true
 	for _, batch := range batches {
 		if len(batch) > 0 {
-			r.exhausted = false
+			exhausted = false
 		}
-		for _, pid := range batch {
-			if !seen[pid] && !dup[pid] {
-				dup[pid] = true
-				r.newIDs = append(r.newIDs, pid)
+		for _, pid := range batch { // a pid may surface in several parties' batches
+			if !seen[pid] {
+				seen[pid] = true
+				newIDs = append(newIDs, pid)
 			}
 		}
 	}
-	if len(r.newIDs) == 0 {
-		return r
+	if len(newIDs) == 0 {
+		return nil, nil, exhausted, nil
 	}
 
 	// Random access: aggregated ciphertexts for the new candidates.
-	req := &AggregateCandidatesReq{Query: query, PseudoIDs: r.newIDs, Adaptive: l.padaptive, Delta: l.delta}
+	req := &AggregateCandidatesReq{Query: query, PseudoIDs: newIDs, Adaptive: l.padaptive, Delta: l.delta}
 	var col *collected
 	for attempt := 0; ; attempt++ {
 		var resp AggregateCandidatesResp
 		if err := l.call(ctx, l.agg, MethodAggregateCandidates, req, &resp); err != nil {
-			r.err = err
-			return r
+			return nil, nil, false, err
 		}
 		var rerr error
-		col, rerr = l.resolveCollected(query, r.newIDs, resp.Aggregated, nil,
+		col, rerr = l.resolveCollected(query, newIDs, resp.Aggregated, nil,
 			resp.CachedBlocks, resp.PackFactor, resp.PackBits, resp.PackAdds, l.delta)
 		if rerr != nil {
 			if l.deltaMissRetry(rerr, attempt) {
 				req.NoCache = true
 				continue
 			}
-			r.err = fmt.Errorf("vfl: TA aggregate round: %w", rerr)
-			return r
+			return nil, nil, false, fmt.Errorf("vfl: TA aggregate round: %w", rerr)
 		}
 		break
 	}
-	vs, err := l.decryptCollected(ctx, col)
+	dist, err = l.decryptCollected(ctx, col)
 	if err != nil {
-		r.err = fmt.Errorf("vfl: TA decrypting candidate: %w", err)
-		return r
+		return nil, nil, false, fmt.Errorf("vfl: TA decrypting candidate: %w", err)
 	}
-	r.dist = vs
-	r.decrypts = len(col.blobs)
-	return r
-}
-
-// metricTAWaste counts the decryptions speculative TA rounds performed
-// before being discarded — the work the latency overlap trades away.
-const metricTAWaste = "vfps_ta_speculative_waste_total"
-
-func declareTAWaste(reg *obs.Registry) *obs.CounterVec {
-	return reg.Counter(metricTAWaste,
-		"Decryptions performed by speculative threshold-scan rounds that were discarded when the threshold stopped the scan.",
-		"role")
-}
-
-// DeclareTAMetrics pre-declares the speculative-TA waste family on reg so it
-// renders on /metrics before the first discarded speculation. Safe on a nil
-// registry.
-func DeclareTAMetrics(reg *obs.Registry) {
-	declareTAWaste(reg)
-}
-
-// recordTAWaste feeds a discarded speculation's completed decryptions into
-// the waste counter. No-op without a registry.
-func (l *Leader) recordTAWaste(n int) {
-	if n <= 0 {
-		return
-	}
-	reg := l.o.Load().Registry()
-	if reg == nil {
-		return
-	}
-	declareTAWaste(reg).With("leader").Add(int64(n))
-}
-
-// taSpeculation is an in-flight speculative TA round.
-type taSpeculation struct {
-	cancel context.CancelFunc
-	ch     chan *taRoundResult
-}
-
-// speculateRound launches round r+1's collection and decryption in the
-// background while the caller evaluates round r's stopping rule.
-func (l *Leader) speculateRound(ctx context.Context, query, depth int, seen map[int]bool) *taSpeculation {
-	sctx, cancel := context.WithCancel(ctx)
-	s := &taSpeculation{cancel: cancel, ch: make(chan *taRoundResult, 1)}
-	go func() {
-		s.ch <- l.taRound(sctx, query, depth, seen)
-	}()
-	return s
-}
-
-// join waits for the speculative round — the scan continued, so its result
-// is used as-is.
-func (s *taSpeculation) join() *taRoundResult {
-	r := <-s.ch
-	s.cancel()
-	return r
-}
-
-// discard cancels an in-flight speculation after the threshold stopped the
-// scan and counts the decryptions it had already completed as waste.
-func (s *taSpeculation) discard(l *Leader) {
-	s.cancel()
-	r := <-s.ch
-	l.recordTAWaste(r.decrypts)
+	l.counts.Add(costmodel.Raw{Decryptions: int64(len(col.blobs))})
+	return newIDs, dist, exhausted, nil
 }
 
 // thresholdScan drives the leader-assisted Threshold Algorithm for one
 // query: synchronized sorted access in batches, aggregate-and-decrypt for
 // every newly seen candidate, and an encrypted frontier bound τ per batch.
-// With SetSpeculativeTA, round r+1 runs concurrently with round r's τ round
-// trip and stopping check, and is discarded (waste counted) when the scan
-// stops. Returns the candidate pseudo IDs with their decrypted complete
-// distances, identical with speculation on or off.
+// Returns the candidate pseudo IDs with their decrypted complete distances.
 func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []float64, FaginStats, error) {
 	ctx, tsp := l.tracer().Start(ctx, SpanTAScan)
 	defer tsp.End()
@@ -697,41 +590,20 @@ func (l *Leader) thresholdScan(ctx context.Context, query, k int) ([]int, []floa
 	var pids []int
 	var dist []float64
 	depth := 0
-	var spec *taSpeculation
-	defer func() {
-		if spec != nil {
-			spec.discard(l)
-		}
-	}()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, stats, err
 		}
-		var round *taRoundResult
-		if spec != nil {
-			round, spec = spec.join(), nil
-		} else {
-			round = l.taRound(ctx, query, depth, seen)
-		}
-		if round.err != nil {
-			return nil, nil, stats, round.err
-		}
-		// Commit the round: only now do its candidates enter the scan state.
-		for _, pid := range round.newIDs {
-			seen[pid] = true
+		newIDs, newDist, exhausted, err := l.taRound(ctx, query, depth, seen)
+		if err != nil {
+			return nil, nil, stats, err
 		}
 		stats.Rounds++
 		depth += l.batch
-		if len(round.newIDs) > 0 {
-			pids = append(pids, round.newIDs...)
-			dist = append(dist, round.dist...)
-			l.counts.Add(costmodel.Raw{Decryptions: int64(round.decrypts)})
-		}
-		if round.exhausted {
+		pids = append(pids, newIDs...)
+		dist = append(dist, newDist...)
+		if exhausted {
 			break
-		}
-		if l.speculate {
-			spec = l.speculateRound(ctx, query, depth, seen)
 		}
 
 		// Threshold: τ bounds every unseen instance's complete distance from
@@ -776,35 +648,15 @@ type SimilarityReport struct {
 	TotalRounds int
 }
 
-// Similarities runs the KNN oracle over the query set and accumulates the
-// pairwise participant similarity matrix of §III-A:
-//
-//	w_q(p1,p2) = (d_T − |d^p1_T − d^p2_T|) / d_T,   w = mean over queries.
-func (l *Leader) Similarities(ctx context.Context, queries []int, k int, variant Variant) (*SimilarityReport, error) {
-	return l.SimilaritiesParallel(ctx, queries, k, variant, 1)
-}
-
 // SimAccumulator incrementally aggregates per-query similarity
-// contributions, enabling adaptive protocols that add query batches until
-// the estimate stabilises.
+// contributions, enabling adaptive protocols (core.SelectAdaptive) that add
+// query batches until the estimate stabilises.
 type SimAccumulator struct {
 	p      int
 	sums   [][]float64
 	n      int
 	cands  int
 	rounds int
-	// Record, when set before accumulation, keeps each query's neighbour
-	// set and per-party sums so the similarity matrix can later be extended
-	// to late-joining participants without re-running the encrypted KNN.
-	Record  bool
-	records []QueryRecord
-}
-
-// QueryRecord is one query's reusable protocol outcome.
-type QueryRecord struct {
-	Query     int
-	Neighbors []int // pseudo IDs of the k nearest samples
-	PartySums []float64
 }
 
 // NewAccumulator returns an empty similarity accumulator for this
@@ -870,67 +722,22 @@ func (l *Leader) Accumulate(ctx context.Context, queries []int, k int, variant V
 	if err != nil {
 		return err
 	}
-	for i, res := range results {
+	for _, res := range results {
 		acc.add(res)
-		if acc.Record {
-			acc.records = append(acc.records, QueryRecord{
-				Query:     queries[i],
-				Neighbors: res.Neighbors,
-				PartySums: res.PartySums,
-			})
-		}
 	}
 	l.counts.Add(costmodel.Raw{PlainAdds: int64(len(queries) * acc.p * acc.p)})
 	return nil
 }
 
-// ExtendWithParties warm-starts the similarity matrix for late-joining
-// participants: instead of re-running the encrypted KNN protocol, the leader
-// asks only the new parties for their plaintext partial sums over each
-// recorded query's existing neighbour set (|Q| cheap messages per joiner).
+// Similarities runs the KNN oracle over the query set and accumulates the
+// pairwise participant similarity matrix of §III-A:
 //
-// This is an approximation: the neighbour sets were computed over the
-// original consortium's joint feature space, so the new parties' features do
-// not influence which samples count as neighbours. For parties whose data
-// correlates with the consortium (the common case in VFL, where records
-// describe the same users) the approximation is close; re-run Similarities
-// from scratch when exactness matters. Requires an accumulator built with
-// Record set.
-func (l *Leader) ExtendWithParties(ctx context.Context, newParties []string, acc *SimAccumulator) (*SimilarityReport, error) {
-	if !acc.Record || len(acc.records) == 0 {
-		return nil, fmt.Errorf("vfl: extension requires a recording accumulator with at least one query")
-	}
-	if len(newParties) == 0 {
-		return nil, fmt.Errorf("vfl: no new parties to extend with")
-	}
-	oldP := acc.p
-	newP := oldP + len(newParties)
-	ext := &SimAccumulator{p: newP}
-	ext.sums = make([][]float64, newP)
-	for i := range ext.sums {
-		ext.sums[i] = make([]float64, newP)
-	}
-	for _, rec := range acc.records {
-		sums := make([]float64, newP)
-		copy(sums, rec.PartySums)
-		for ni, party := range newParties {
-			var resp NeighborSumResp
-			if err := l.call(ctx, party, MethodNeighborSum,
-				&NeighborSumReq{Query: rec.Query, PseudoIDs: rec.Neighbors}, &resp); err != nil {
-				return nil, fmt.Errorf("vfl: extending with %s: %w", party, err)
-			}
-			sums[oldP+ni] = resp.Sum
-		}
-		ext.add(&QueryResult{Neighbors: rec.Neighbors, PartySums: sums})
-	}
-	l.counts.Add(costmodel.Raw{PlainAdds: int64(len(acc.records) * newP * newP)})
-	return ext.Report(), nil
-}
-
-// SimilaritiesParallel is Similarities with up to `workers` queries in
-// flight concurrently. Results are accumulated in query order, so the
-// report is bit-identical to the sequential run.
-func (l *Leader) SimilaritiesParallel(ctx context.Context, queries []int, k int, variant Variant, workers int) (*SimilarityReport, error) {
+//	w_q(p1,p2) = (d_T − |d^p1_T − d^p2_T|) / d_T,   w = mean over queries.
+//
+// Up to `workers` queries run concurrently (≤ 1 is sequential). Results are
+// accumulated in query order, so the report is bit-identical at every
+// worker count.
+func (l *Leader) Similarities(ctx context.Context, queries []int, k int, variant Variant, workers int) (*SimilarityReport, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("vfl: empty query set")
 	}

@@ -110,8 +110,7 @@ type EncryptAllReq struct {
 // PackFactor > 1 means each ciphertext carries that many consecutive values
 // (slot packing; the last one partially filled), so len(Ciphers) is
 // ceil(len(PseudoIDs)/PackFactor). 0 or 1 means one value per ciphertext —
-// the pre-packing wire format, which old peers emit implicitly via gob's
-// zero-value defaulting.
+// the pre-packing wire format (an absent field decodes as 0).
 //
 // PackBits echoes the adaptive slot width the ciphertexts were packed under
 // (0 = static geometry). NeedBits advertises the smallest slot width this
@@ -220,8 +219,7 @@ type AggregateFrontierResp struct {
 
 // CollectAllReq drives the BASE variant for one query. ChunkBytes > 0 asks
 // for the aggregated vector chunk-framed at roughly that content size per
-// chunk (v1 codecs only; gob peers always get whole-blob framing). Adaptive,
-// Delta and NoCache behave as in AggregateCandidatesReq.
+// chunk. Adaptive, Delta and NoCache behave as in AggregateCandidatesReq.
 type CollectAllReq struct {
 	Query      int
 	ChunkBytes int
@@ -294,8 +292,8 @@ func packedLen(n, packFactor int) int {
 	return (n + packFactor - 1) / packFactor
 }
 
-// normFactor maps the wire encoding of an absent pack factor (gob zero value
-// from pre-packing peers) to the explicit unpacked factor 1.
+// normFactor maps the wire encoding of an absent pack factor (zero, from
+// pre-packing peers) to the explicit unpacked factor 1.
 func normFactor(f int) int {
 	if f <= 1 {
 		return 1
@@ -329,9 +327,8 @@ type FaginCollectResp struct {
 // Every message carries explicit MarshalWire/UnmarshalWire methods pinning
 // its v1 binary layout (see internal/wire for the field grammar and
 // golden_test.go for byte-level vectors). Tags are append-only: new fields
-// take fresh tags so v1 peers skip them, exactly how PackFactor rode on gob's
-// zero-value defaulting before. Absent fields decode as zero, which the
-// normFactor/packedLen helpers already normalise.
+// take fresh tags so v1 peers skip them. Absent fields decode as zero, which
+// the normFactor/packedLen helpers already normalise.
 
 // MarshalWire implements wire.Message. 1: scheme, 2: key, 3: parties,
 // 4: maskSeed, 5: epsilon, 6: delta.

@@ -182,11 +182,11 @@ func TestTracedSelectionIdentity(t *testing.T) {
 	}
 	defer traced.Close()
 
-	prep, err := plain.Leader.Similarities(ctx, queries, 3, VariantFagin)
+	prep, err := plain.Leader.Similarities(ctx, queries, 3, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trep, err := traced.Leader.SimilaritiesParallel(ctx, queries, 3, VariantFagin, 2)
+	trep, err := traced.Leader.Similarities(ctx, queries, 3, VariantFagin, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,11 +58,11 @@ func TestPackedSelectionIdentity(t *testing.T) {
 	}
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		srep, err := scalar.Leader.Similarities(ctx, queries, 3, variant)
+		srep, err := scalar.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := packed.Leader.Similarities(ctx, queries, 3, variant)
+		prep, err := packed.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,11 +67,11 @@ func TestParallelismDeterminism(t *testing.T) {
 					}
 				}
 
-				srep, err := serial.Leader.Similarities(ctx, queries, 3, variant)
+				srep, err := serial.Leader.Similarities(ctx, queries, 3, variant, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				prep, err := parallel.Leader.Similarities(ctx, queries, 3, variant)
+				prep, err := parallel.Leader.Similarities(ctx, queries, 3, variant, 1)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -120,9 +120,7 @@ func (p *Participant) SetObserver(o *obs.Observer, instance string) {
 	p.counts.Register(o.Registry(), instance, PartyName(p.index))
 }
 
-// SetCodec configures the participant's wire codec (gob by default).
-// Responses always mirror the requester's codec; the setting bounds which
-// inbound protocol versions are accepted.
+// SetCodec sets the codec the participant speaks (wire.Binary by default).
 func (p *Participant) SetCodec(c wire.Codec) { p.setCodec(c) }
 
 // SetParallelism pins the participant's encryption concurrency: 1 restores
@@ -348,15 +346,9 @@ func (p *Participant) distances(ctx context.Context, query int) (*queryCache, er
 	return qc, nil
 }
 
-// Handler returns the participant's RPC handler. Requests are decoded with
-// the codec they arrived in (bounded by the configured codec's version) and
-// responses mirror it, so one participant can serve gob and binary callers
-// side by side.
+// Handler returns the participant's RPC handler.
 func (p *Participant) Handler() transport.Handler {
 	return func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		if method == transport.MethodHello {
-			return wire.HandleHello(req, p.codec().Version())
-		}
 		codec, err := p.reqCodec(req)
 		if err != nil {
 			return nil, err

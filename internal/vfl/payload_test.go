@@ -45,7 +45,7 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 	full := payloadTestCluster(t, pt, true, 2048, true)
 
 	for _, variant := range []Variant{VariantBase, VariantFagin} {
-		sref, err := static.Leader.Similarities(ctx, queries, 3, variant)
+		sref, err := static.Leader.Similarities(ctx, queries, 3, variant, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestAdaptivePackSelectionIdentity(t *testing.T) {
 			if err := full.Leader.ResetAllCounts(ctx); err != nil {
 				t.Fatal(err)
 			}
-			frep, err := full.Leader.Similarities(ctx, queries, 3, variant)
+			frep, err := full.Leader.Similarities(ctx, queries, 3, variant, 1)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", variant, round+1, err)
 			}

@@ -64,7 +64,7 @@ func buildRecordedCluster(t *testing.T, scheme string) (*Cluster, *recordingCall
 	rec := &recordingCaller{inner: cl.Transport}
 	// Rebuild the server and leader over the recorder so every hop that
 	// carries protected values is captured.
-	pub, err := FetchPublicScheme(context.Background(), rec, KeyServerName)
+	pub, err := FetchPublicSchemeWire(context.Background(), transport.NewCodecCaller(rec, nil), KeyServerName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func buildRecordedCluster(t *testing.T, scheme string) (*Cluster, *recordingCall
 		t.Fatal(err)
 	}
 	cl.Transport.Register(AggServerName, agg.Handler())
-	priv, err := FetchPrivateScheme(context.Background(), rec, KeyServerName)
+	priv, err := FetchPrivateSchemeWire(context.Background(), transport.NewCodecCaller(rec, nil), KeyServerName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTranscriptDoesNotLeakPlaintextDistances(t *testing.T) {
 			cl, rec := buildRecordedCluster(t, scheme)
 			ctx := context.Background()
 			query := 5
-			if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantFagin); err != nil {
+			if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantFagin, 1); err != nil {
 				t.Fatal(err)
 			}
 			// The secrets: party 0's true partial distances for this query.
@@ -133,7 +133,7 @@ func TestTranscriptDetectorFindsPlainLeaks(t *testing.T) {
 	cl, rec := buildRecordedCluster(t, "plain")
 	ctx := context.Background()
 	query := 5
-	if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantBase); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{query}, 4, VariantBase, 1); err != nil {
 		t.Fatal(err)
 	}
 	qc, err := cl.Parties[0].distances(context.Background(), query)

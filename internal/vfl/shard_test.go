@@ -66,7 +66,7 @@ func shardedSimilarities(t *testing.T, cfg ClusterConfig, queries []int, k, roun
 	defer cl.Close()
 	var rep *SimilarityReport
 	for r := 0; r < rounds; r++ {
-		rep, err = cl.Leader.Similarities(context.Background(), queries, k, VariantFagin)
+		rep, err = cl.Leader.Similarities(context.Background(), queries, k, VariantFagin, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestShardWorkerFailureFallback(t *testing.T) {
 		t.Fatalf("expected 2 shard workers, got %d", len(cl.Workers))
 	}
 	cl.Transport.InjectFailure(AggWorkerName(1))
-	rep, err := cl.Leader.Similarities(context.Background(), queries, 4, VariantFagin)
+	rep, err := cl.Leader.Similarities(context.Background(), queries, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatalf("selection did not survive a worker failure: %v", err)
 	}

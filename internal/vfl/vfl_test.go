@@ -10,6 +10,7 @@ import (
 	"vfps/internal/dataset"
 	"vfps/internal/mat"
 	"vfps/internal/transport"
+	"vfps/internal/wire"
 )
 
 func testPartition(t *testing.T, name string, rows, parties int) (*dataset.Dataset, *dataset.Partition) {
@@ -113,11 +114,11 @@ func TestBaseAndFaginAgree(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{1, 5, 33, 77}
-	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase)
+	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
+	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestPaillierAndPlainAgree(t *testing.T) {
 	pail := newCluster(t, pt, "paillier")
 	ctx := context.Background()
 	queries := []int{2, 30}
-	a, err := plain.Leader.Similarities(ctx, queries, 4, VariantFagin)
+	a, err := plain.Leader.Similarities(ctx, queries, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pail.Leader.Similarities(ctx, queries, 4, VariantFagin)
+	b, err := pail.Leader.Similarities(ctx, queries, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestPaillierAndPlainAgree(t *testing.T) {
 func TestSimilarityMatrixProperties(t *testing.T) {
 	_, pt := testPartition(t, "Credit", 150, 4)
 	cl := newCluster(t, pt, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{3, 9, 50, 100, 149}, 5, VariantFagin)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{3, 9, 50, 100, 149}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestDuplicatePartiesHaveUnitSimilarity(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 80, 3)
 	dup := pt.WithDuplicates(1, 11) // party 3 duplicates some original
 	cl := newCluster(t, dup, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{4, 40, 70}, 5, VariantFagin)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{4, 40, 70}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestFaginPrunesCandidates(t *testing.T) {
 	// instances per query.
 	_, pt := testPartition(t, "Phishing", 400, 4)
 	cl := newCluster(t, pt, "plain")
-	rep, err := cl.Leader.Similarities(context.Background(), []int{10, 200}, 5, VariantFagin)
+	rep, err := cl.Leader.Similarities(context.Background(), []int{10, 200}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestCountsAccounting(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 60, 3)
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{5}, 4, VariantBase); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{5}, 4, VariantBase, 1); err != nil {
 		t.Fatal(err)
 	}
 	counts, err := cl.Leader.GatherCounts(ctx)
@@ -263,14 +264,14 @@ func TestFaginEncryptsFewerThanBase(t *testing.T) {
 	_, pt := testPartition(t, "Phishing", 300, 4)
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{7, 70}, 5, VariantBase); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{7, 70}, 5, VariantBase, 1); err != nil {
 		t.Fatal(err)
 	}
 	baseTotal, _ := cl.Leader.TotalCounts(ctx)
 	if err := cl.Leader.ResetAllCounts(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Leader.Similarities(ctx, []int{7, 70}, 5, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{7, 70}, 5, VariantFagin, 1); err != nil {
 		t.Fatal(err)
 	}
 	faginTotal, _ := cl.Leader.TotalCounts(ctx)
@@ -297,7 +298,7 @@ func TestLeaderValidation(t *testing.T) {
 	if _, err := cl.Leader.RunQuery(ctx, 0, 40, VariantBase); err == nil {
 		t.Fatal("expected k>candidates error")
 	}
-	if _, err := cl.Leader.Similarities(ctx, nil, 5, VariantBase); err == nil {
+	if _, err := cl.Leader.Similarities(ctx, nil, 5, VariantBase, 1); err == nil {
 		t.Fatal("expected empty query set error")
 	}
 }
@@ -311,19 +312,22 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Scheme: "rot13"}); err == nil {
 		t.Fatal("expected scheme error")
 	}
+	if _, err := NewLocalCluster(ctx, ClusterConfig{Partition: pt, Wire: "gob"}); err == nil {
+		t.Fatal("expected codec error: binary is the only codec")
+	}
 }
 
 func TestParticipantFailureSurfacesError(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 3)
 	cl := newCluster(t, pt, "plain")
 	cl.Transport.InjectFailure(PartyName(1))
-	_, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin)
+	_, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin, 1)
 	if !errors.Is(err, transport.ErrInjectedFailure) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
 	// Recovery: clearing the fault restores service.
 	cl.Transport.InjectFailure("")
-	if _, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(context.Background(), []int{3}, 4, VariantFagin, 1); err != nil {
 		t.Fatalf("cluster did not recover: %v", err)
 	}
 }
@@ -403,7 +407,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	directory := map[string]string{KeyServerName: keySrv.Addr()}
 	bootstrapCli := transport.NewTCPClient(directory)
 	defer bootstrapCli.Close()
-	pub, err := FetchPublicScheme(ctx, bootstrapCli, KeyServerName)
+	pub, err := FetchPublicSchemeWire(ctx, transport.NewCodecCaller(bootstrapCli, nil), KeyServerName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +445,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 
 	leaderCli := transport.NewTCPClient(directory)
 	defer leaderCli.Close()
-	priv, err := FetchPrivateScheme(ctx, leaderCli, KeyServerName)
+	priv, err := FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(leaderCli, nil), KeyServerName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,14 +453,14 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin)
+	rep, err := leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The TCP run must agree with the in-memory run bit-for-bit.
 	mem := newCluster(t, pt, "plain")
-	memRep, err := mem.Leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin)
+	memRep, err := mem.Leader.Similarities(ctx, []int{2, 30, 59}, 4, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,11 +478,11 @@ func TestThresholdVariantMatchesBase(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{0, 25, 60, 119}
-	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase)
+	base, err := cl.Leader.Similarities(ctx, queries, 5, VariantBase, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold)
+	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,11 +503,11 @@ func TestThresholdPrunesAtLeastAsHardAsFagin(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{10, 200}
-	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
+	fagin, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold)
+	ta, err := cl.Leader.Similarities(ctx, queries, 5, VariantThreshold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,14 +548,14 @@ func TestThresholdUsesMoreLeaderRoundsThanFagin(t *testing.T) {
 	_, pt := testPartition(t, "Credit", 200, 4)
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{7}, 5, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{7}, 5, VariantFagin, 1); err != nil {
 		t.Fatal(err)
 	}
 	faginLeader := cl.Leader.Counts()
 	if err := cl.Leader.ResetAllCounts(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Leader.Similarities(ctx, []int{7}, 5, VariantThreshold); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{7}, 5, VariantThreshold, 1); err != nil {
 		t.Fatal(err)
 	}
 	taLeader := cl.Leader.Counts()
@@ -568,11 +572,11 @@ func TestParallelSimilaritiesMatchSequential(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx := context.Background()
 	queries := []int{1, 20, 40, 60, 80, 100, 120, 140, 160, 199}
-	seq, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin)
+	seq, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := cl.Leader.SimilaritiesParallel(ctx, queries, 5, VariantFagin, 4)
+	par, err := cl.Leader.Similarities(ctx, queries, 5, VariantFagin, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +597,7 @@ func TestParallelSimilaritiesErrorPropagates(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	// One invalid query among many must fail the whole batch.
 	queries := []int{1, 2, 3, -5, 4, 5}
-	if _, err := cl.Leader.SimilaritiesParallel(context.Background(), queries, 4, VariantFagin, 3); err == nil {
+	if _, err := cl.Leader.Similarities(context.Background(), queries, 4, VariantFagin, 3); err == nil {
 		t.Fatal("expected error for invalid query")
 	}
 }
@@ -627,11 +631,11 @@ func TestSecAggClusterMatchesPlain(t *testing.T) {
 	ctx := context.Background()
 	queries := []int{1, 30, 75}
 	for _, variant := range []Variant{VariantBase, VariantFagin, VariantThreshold} {
-		a, err := plain.Leader.Similarities(ctx, queries, 5, variant)
+		a, err := plain.Leader.Similarities(ctx, queries, 5, variant, 1)
 		if err != nil {
 			t.Fatalf("plain/%s: %v", variant, err)
 		}
-		b, err := masked.Leader.Similarities(ctx, queries, 5, variant)
+		b, err := masked.Leader.Similarities(ctx, queries, 5, variant, 1)
 		if err != nil {
 			t.Fatalf("secagg/%s: %v", variant, err)
 		}
@@ -652,12 +656,12 @@ func TestSecAggHidesValuesFromServer(t *testing.T) {
 	cl := newCluster(t, pt, "secagg")
 	party := cl.Parties[0]
 	raw, err := party.Handler()(context.Background(), MethodEncryptCandidates,
-		mustGob(EncryptCandidatesReq{Query: 0, PseudoIDs: []int{1, 2, 3}}))
+		mustWire(&EncryptCandidatesReq{Query: 0, PseudoIDs: []int{1, 2, 3}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resp EncryptCandidatesResp
-	if err := transport.DecodeGob(raw, &resp); err != nil {
+	if err := wire.Binary().Unmarshal(raw, &resp); err != nil {
 		t.Fatal(err)
 	}
 	qc, err := party.distances(context.Background(), 0)
@@ -683,7 +687,7 @@ func TestSecAggNoHEOperations(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 60, 3)
 	cl := newCluster(t, pt, "secagg")
 	ctx := context.Background()
-	if _, err := cl.Leader.Similarities(ctx, []int{5}, 4, VariantFagin); err != nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{5}, 4, VariantFagin, 1); err != nil {
 		t.Fatal(err)
 	}
 	counts, err := cl.Leader.GatherCounts(ctx)
@@ -710,14 +714,14 @@ func TestDPClusterRunsAndPerturbs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := cl.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin)
+		rep, err := cl.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
 	plain := newCluster(t, pt, "plain")
-	truth, err := plain.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin)
+	truth, err := plain.Leader.Similarities(ctx, []int{3, 40, 70}, 5, VariantFagin, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,86 +760,6 @@ func TestDPClusterValidation(t *testing.T) {
 	}
 }
 
-func TestExtendWithPartiesApproximatesFullRerun(t *testing.T) {
-	// Start with 3 of 4 parties, record the similarity run, then let the
-	// 4th join via the warm-start extension and compare against the exact
-	// 4-party protocol.
-	_, ptFull := testPartition(t, "Credit", 150, 4)
-	sub, err := ptFull.Select([]int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := newCluster(t, sub, "plain")
-	ctx := context.Background()
-	queries := []int{2, 30, 60, 90, 120}
-
-	acc := cl.Leader.NewAccumulator()
-	acc.Record = true
-	if err := cl.Leader.Accumulate(ctx, queries, 5, VariantFagin, 1, acc); err != nil {
-		t.Fatal(err)
-	}
-	name, err := cl.AddParticipant(ptFull.Parties[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := cl.Leader.ExtendWithParties(ctx, []string{name}, acc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ext.W) != 4 {
-		t.Fatalf("extended W is %dx", len(ext.W))
-	}
-
-	// Exact baseline: full 4-party cluster with the same seeds.
-	full := newCluster(t, ptFull, "plain")
-	exact, err := full.Leader.Similarities(ctx, queries, 5, VariantFagin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The old 3x3 block must match closely; the new row/column is an
-	// approximation (neighbour sets exclude the joiner's features) so allow
-	// a loose tolerance.
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(ext.W[i][j]-exact.W[i][j]) > 0.15 {
-				t.Fatalf("old block drifted at %d,%d: %g vs %g", i, j, ext.W[i][j], exact.W[i][j])
-			}
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if math.Abs(ext.W[i][3]-exact.W[i][3]) > 0.25 {
-			t.Fatalf("joiner column too far off at %d: %g vs %g", i, ext.W[i][3], exact.W[i][3])
-		}
-		if math.Abs(ext.W[i][3]-ext.W[3][i]) > 1e-12 {
-			t.Fatal("extended matrix not symmetric")
-		}
-	}
-}
-
-func TestExtendWithPartiesValidation(t *testing.T) {
-	_, pt := testPartition(t, "Rice", 40, 2)
-	cl := newCluster(t, pt, "plain")
-	ctx := context.Background()
-	acc := cl.Leader.NewAccumulator() // Record not set
-	if err := cl.Leader.Accumulate(ctx, []int{1}, 3, VariantFagin, 1, acc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Leader.ExtendWithParties(ctx, []string{"party/9"}, acc); err == nil {
-		t.Fatal("expected recording-required error")
-	}
-	rec := cl.Leader.NewAccumulator()
-	rec.Record = true
-	if err := cl.Leader.Accumulate(ctx, []int{1}, 3, VariantFagin, 1, rec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Leader.ExtendWithParties(ctx, nil, rec); err == nil {
-		t.Fatal("expected no-parties error")
-	}
-	if _, err := cl.Leader.ExtendWithParties(ctx, []string{"party/9"}, rec); err == nil {
-		t.Fatal("expected unknown-peer error")
-	}
-}
-
 func TestAddParticipantSecAggRejected(t *testing.T) {
 	_, pt := testPartition(t, "Rice", 40, 2)
 	cl := newCluster(t, pt, "secagg")
@@ -848,24 +772,24 @@ func TestFetchSchemeErrors(t *testing.T) {
 	tr := &transport.Memory{}
 	ctx := context.Background()
 	// Key server absent.
-	if _, err := FetchPublicScheme(ctx, tr, KeyServerName); err == nil {
+	if _, err := FetchPublicSchemeWire(ctx, transport.NewCodecCaller(tr, nil), KeyServerName); err == nil {
 		t.Fatal("expected unknown-peer error")
 	}
-	if _, err := FetchPrivateScheme(ctx, tr, KeyServerName); err == nil {
+	if _, err := FetchPrivateSchemeWire(ctx, transport.NewCodecCaller(tr, nil), KeyServerName); err == nil {
 		t.Fatal("expected unknown-peer error")
 	}
 	// Key server speaking an unknown scheme.
 	tr.Register(KeyServerName, func(ctx context.Context, method string, req []byte) ([]byte, error) {
-		return transport.EncodeGob(PublicKeyResp{Scheme: "rot13"})
+		return wire.Binary().Marshal(&PublicKeyResp{Scheme: "rot13"})
 	})
-	if _, err := FetchPublicScheme(ctx, tr, KeyServerName); err == nil {
+	if _, err := FetchPublicSchemeWire(ctx, transport.NewCodecCaller(tr, nil), KeyServerName); err == nil {
 		t.Fatal("expected unknown-scheme error")
 	}
 	// Garbage payload.
 	tr.Register(KeyServerName, func(ctx context.Context, method string, req []byte) ([]byte, error) {
 		return []byte{0xff, 0x01}, nil
 	})
-	if _, err := FetchPublicScheme(ctx, tr, KeyServerName); err == nil {
+	if _, err := FetchPublicSchemeWire(ctx, transport.NewCodecCaller(tr, nil), KeyServerName); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
@@ -884,8 +808,8 @@ func TestKeyServerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ks.Handler()(context.Background(), "nope", nil); err == nil {
-		t.Fatal("expected unknown-method error")
+	if _, err := ks.Handler()(context.Background(), "nope", mustWire(nil)); !errors.Is(err, transport.ErrUnknownMethod) {
+		t.Fatalf("unknown method: got %v", err)
 	}
 }
 
@@ -894,25 +818,25 @@ func TestParticipantHandlerErrors(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	h := cl.Parties[0].Handler()
 	ctx := context.Background()
-	if _, err := h(ctx, "nope", nil); err == nil {
-		t.Fatal("expected unknown-method error")
+	if _, err := h(ctx, "nope", mustWire(nil)); !errors.Is(err, transport.ErrUnknownMethod) {
+		t.Fatalf("unknown method: got %v", err)
 	}
-	if _, err := h(ctx, MethodRankingBatch, []byte{0xff}); err == nil {
-		t.Fatal("expected decode error")
+	if _, err := h(ctx, MethodRankingBatch, []byte{0xff}); !errors.Is(err, wire.ErrCorrupt) {
+		t.Fatalf("non-envelope request: got %v, want wire.ErrCorrupt", err)
 	}
-	if _, err := h(ctx, MethodRankingBatch, mustGob(RankingBatchReq{Query: 0, Offset: -1, Count: 5})); err == nil {
+	if _, err := h(ctx, MethodRankingBatch, mustWire(&RankingBatchReq{Query: 0, Offset: -1, Count: 5})); err == nil {
 		t.Fatal("expected offset error")
 	}
-	if _, err := h(ctx, MethodRankingBatch, mustGob(RankingBatchReq{Query: 0, Offset: 0, Count: 0})); err == nil {
+	if _, err := h(ctx, MethodRankingBatch, mustWire(&RankingBatchReq{Query: 0, Offset: 0, Count: 0})); err == nil {
 		t.Fatal("expected count error")
 	}
-	if _, err := h(ctx, MethodEncryptCandidates, mustGob(EncryptCandidatesReq{Query: 0, PseudoIDs: []int{999}})); err == nil {
+	if _, err := h(ctx, MethodEncryptCandidates, mustWire(&EncryptCandidatesReq{Query: 0, PseudoIDs: []int{999}})); err == nil {
 		t.Fatal("expected candidate range error")
 	}
-	if _, err := h(ctx, MethodNeighborSum, mustGob(NeighborSumReq{Query: 0, PseudoIDs: []int{-1}})); err == nil {
+	if _, err := h(ctx, MethodNeighborSum, mustWire(&NeighborSumReq{Query: 0, PseudoIDs: []int{-1}})); err == nil {
 		t.Fatal("expected neighbour range error")
 	}
-	if _, err := h(ctx, MethodEncryptRankScore, mustGob(EncryptRankScoreReq{Query: 0, Rank: -3})); err == nil {
+	if _, err := h(ctx, MethodEncryptRankScore, mustWire(&EncryptRankScoreReq{Query: 0, Rank: -3})); err == nil {
 		t.Fatal("expected rank error")
 	}
 }
@@ -922,7 +846,7 @@ func TestSimilaritiesContextCancellation(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cl.Leader.SimilaritiesParallel(ctx, []int{1, 2, 3, 4}, 5, VariantFagin, 2); err == nil {
+	if _, err := cl.Leader.Similarities(ctx, []int{1, 2, 3, 4}, 5, VariantFagin, 2); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }
@@ -932,16 +856,26 @@ func TestAggServerHandlerErrors(t *testing.T) {
 	cl := newCluster(t, pt, "plain")
 	h := cl.Agg.Handler()
 	ctx := context.Background()
-	if _, err := h(ctx, "nope", nil); err == nil {
-		t.Fatal("expected unknown-method error")
+	if _, err := h(ctx, "nope", mustWire(nil)); !errors.Is(err, transport.ErrUnknownMethod) {
+		t.Fatalf("unknown method: got %v", err)
 	}
-	if _, err := h(ctx, MethodFaginCollect, mustGob(FaginCollectReq{Query: 0, K: 0, Batch: 8})); err == nil {
+	if _, err := h(ctx, MethodFaginCollect, mustWire(&FaginCollectReq{Query: 0, K: 0, Batch: 8})); err == nil {
 		t.Fatal("expected k validation error")
 	}
-	if _, err := h(ctx, MethodFaginCollect, mustGob(FaginCollectReq{Query: 0, K: 5, Batch: 0})); err == nil {
+	if _, err := h(ctx, MethodFaginCollect, mustWire(&FaginCollectReq{Query: 0, K: 5, Batch: 0})); err == nil {
 		t.Fatal("expected batch validation error")
 	}
-	if _, err := h(ctx, MethodFaginCollect, mustGob(FaginCollectReq{Query: 0, K: 99, Batch: 8})); err == nil {
+	if _, err := h(ctx, MethodFaginCollect, mustWire(&FaginCollectReq{Query: 0, K: 99, Batch: 8})); err == nil {
 		t.Fatal("expected exhaustion error")
 	}
+}
+
+// mustWire encodes a request with the binary codec; a nil message yields
+// the bare envelope of a body-less call.
+func mustWire(m wire.Message) []byte {
+	raw, err := wire.Binary().Marshal(m)
+	if err != nil {
+		panic(err)
+	}
+	return raw
 }

@@ -9,35 +9,37 @@ import (
 )
 
 // roleCodec is the wire-codec slot embedded in every protocol role. It holds
-// the codec the role is configured to speak (gob until SetCodec): outbound
-// requests prefer it, and inbound requests from newer protocol versions than
-// it allows are rejected with a typed error. The indirection through a box
-// struct keeps the atomic happy across differing concrete codec types.
+// the codec the role speaks (wire.Binary unless SetCodec says otherwise):
+// outbound requests use it, and inbound requests without its envelope or
+// from a newer protocol version are rejected with a typed error. The
+// indirection through a box struct keeps the atomic happy across differing
+// concrete codec types.
 type roleCodec struct {
 	c atomic.Pointer[codecBox]
 }
 
 type codecBox struct{ codec wire.Codec }
 
-// codec returns the configured codec (gob by default).
+// codec returns the configured codec (wire.Binary by default).
 func (r *roleCodec) codec() wire.Codec {
 	if b := r.c.Load(); b != nil {
 		return b.codec
 	}
-	return wire.Gob()
+	return wire.Binary()
 }
 
 func (r *roleCodec) setCodec(c wire.Codec) {
 	if c == nil {
-		c = wire.Gob()
+		c = wire.Binary()
 	}
 	r.c.Store(&codecBox{codec: c})
 }
 
-// reqCodec sniffs the codec of an inbound request, bounded by the role's own
-// configured version: a gob-configured node rejects binary envelopes and any
-// node rejects future-version frames with *wire.UnsupportedVersionError.
-// Responses are encoded with the returned codec, mirroring the requester.
+// reqCodec checks the envelope of an inbound request against the role's own
+// version: a request without the envelope (such as one from a build that
+// spoke encoding/gob) is wire.ErrCorrupt, and a future-version frame is
+// *wire.UnsupportedVersionError. Responses are encoded with the returned
+// codec.
 func (r *roleCodec) reqCodec(req []byte) (wire.Codec, error) {
 	return wire.DetectMax(req, r.codec().Version())
 }
@@ -47,7 +49,7 @@ const metricWireBytes = "vfps_wire_bytes"
 
 func declareWire(reg *obs.Registry) *obs.CounterVec {
 	return reg.Counter(metricWireBytes,
-		"Encoded protocol message bytes by codec and share: payload is value content (ciphertext/key blobs, float scalars), framing is the wire overhead around it (envelope, field tags, length prefixes, pseudo-ID lists, gob descriptors).",
+		"Encoded protocol message bytes by codec and share: payload is value content (ciphertext/key blobs, float scalars), framing is the wire overhead around it (envelope, field tags, length prefixes, pseudo-ID lists).",
 		"codec", "kind")
 }
 

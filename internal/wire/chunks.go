@@ -11,9 +11,9 @@ import "fmt"
 //	chunk list = uvarint chunk count | blob list*
 //
 // with each chunk a standard blob list (uvarint count | (uvarint len |
-// bytes)*). The field rides a new tag on the v1 format, so gob and legacy v1
-// peers that predate it keep whole-blob framing untouched — unknown tags are
-// skipped by contract.
+// bytes)*). The field rides a new tag on the v1 format, so v1 peers that
+// predate it keep whole-blob framing untouched — unknown tags are skipped by
+// contract.
 
 // ChunkCiphers splits blobs into chunks of roughly chunkBytes content each.
 // Blobs are never split — a chunk grows past chunkBytes rather than straddle

@@ -10,7 +10,7 @@ import (
 func FuzzWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01})
-	f.Add(MarshalHello(1))
+	f.Add([]byte{0x00, 0x01, 0x08, 0x01}) // envelope v1, field 1 = 1
 	var seed Encoder
 	(&allFields{U: 3, I: -9, F: 2.5, B: []byte("b"), S: "s", IDs: []int{5, 1}, BB: [][]byte{[]byte("x")}}).MarshalWire(&seed)
 	f.Add(seed.buf)

@@ -6,9 +6,7 @@ import "encoding/binary"
 // after the message's own fields. Decoders skip unknown tags (the Decoder
 // consumes a whole field per Next), so a peer that predates the field — or
 // any message's UnmarshalWire loop — ignores it without error; that is the
-// same forward-compatibility contract new message fields rely on. Gob
-// payloads never carry it: the gob fallback has no tag space to hide it in,
-// and a gob peer is by definition a pre-trace build.
+// same forward-compatibility contract new message fields rely on.
 //
 // Field value layout (TraceTag, wire type 2):
 //
@@ -39,8 +37,8 @@ func (tc TraceContext) IsZero() bool {
 }
 
 // AppendTraceContext appends the trace-context field to an encoded binary v1
-// payload. Payloads that are not binary envelopes (gob) are returned
-// unchanged, as is a zero context.
+// payload. Payloads that are not binary envelopes are returned unchanged,
+// as is a zero context.
 func AppendTraceContext(raw []byte, tc TraceContext) []byte {
 	if len(raw) == 0 || raw[0] != envelopeMagic || tc.IsZero() {
 		return raw
@@ -53,9 +51,9 @@ func AppendTraceContext(raw []byte, tc TraceContext) []byte {
 }
 
 // ExtractTraceContext scans a binary envelope for the trace-context field.
-// It never fails: malformed payloads, gob payloads and envelopes without the
-// field all report ok=false and leave error surfacing to the real message
-// decode.
+// It never fails: malformed payloads, non-envelope payloads and envelopes
+// without the field all report ok=false and leave error surfacing to the
+// real message decode.
 func ExtractTraceContext(data []byte) (TraceContext, bool) {
 	var tc TraceContext
 	if len(data) == 0 || data[0] != envelopeMagic {

@@ -1,12 +1,10 @@
 // Package wire is the versioned, self-describing compact binary codec for
-// the VFL protocol messages, plus the gob compatibility codec behind the
-// same interface.
+// the VFL protocol messages.
 //
-// Why it exists: after slot packing cut ciphertext volume ~15×, the gob
-// envelope and raw pseudo-ID lists became a leading share of BytesSent
-// (ROADMAP "Wire framing overhead"). The binary codec replaces gob's
-// per-stream type descriptors and 8-byte ints with uvarint framing, zigzag
-// varints, delta-coded pseudo-ID lists and length-prefixed ciphertext blobs.
+// Why it exists: after slot packing cut ciphertext volume ~15×, message
+// framing and raw pseudo-ID lists became a leading share of BytesSent. The
+// codec uses uvarint framing, zigzag varints, delta-coded pseudo-ID lists
+// and length-prefixed ciphertext blobs.
 //
 // Format v1 (pinned by golden tests in golden_test.go):
 //
@@ -21,11 +19,10 @@
 //
 // Zero-valued fields are omitted; decoders treat absent fields as zero and
 // skip unknown tags, so fields can be added in later versions without
-// breaking v1 peers (forward-compatible tags). A gob stream can never begin
-// with byte 0x00 (gob's leading segment length is never zero), so the
-// envelope magic makes every payload self-describing: Detect sniffs the
-// codec from the first byte and mixed-codec clusters interoperate without
-// per-connection state.
+// breaking v1 peers (forward-compatible tags). The envelope is the only
+// version check: every payload, even a body-less one, carries it, a payload
+// without it is ErrCorrupt, and a newer version is a typed
+// *UnsupportedVersionError (see DetectMax). There is no per-peer handshake.
 package wire
 
 import (
@@ -99,7 +96,7 @@ func ConsumeUvarint(data []byte) (uint64, int, error) {
 // AppendIDs appends a delta-coded pseudo-ID list: uvarint count, then each
 // id as a zigzag delta from the previous one (the first from 0). Sorted or
 // near-sorted lists — the common case for pseudo-ID batches — encode in one
-// or two bytes per id instead of gob's full integers.
+// or two bytes per id instead of full-width integers.
 func AppendIDs(dst []byte, ids []int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	prev := 0

@@ -242,24 +242,18 @@ func TestDecoderWireTypeMismatch(t *testing.T) {
 }
 
 func TestDetect(t *testing.T) {
-	gobRaw, err := Gob().Marshal(&Hello{Max: 1})
+	raw, err := Binary().Marshal(&allFields{U: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gobRaw) == 0 || gobRaw[0] == envelopeMagic {
-		t.Fatalf("gob stream starts with %#x — envelope sniffing assumption broken", gobRaw[0])
+	if c, err := Detect(raw); err != nil || c.Name() != "binary" {
+		t.Errorf("Detect(binary) = %v, %v; want binary", c, err)
 	}
-	for _, tc := range []struct {
-		data []byte
-		want string
-	}{
-		{nil, "gob"},
-		{gobRaw, "gob"},
-		{MarshalHello(1), "binary"},
-	} {
-		c, err := Detect(tc.data)
-		if err != nil || c.Name() != tc.want {
-			t.Errorf("Detect(%v) = %v, %v; want %s", tc.data, c, err, tc.want)
+	// Anything without the envelope magic — an empty body, or a frame from
+	// a build that spoke encoding/gob — is corrupt, never decoded.
+	for _, data := range [][]byte{nil, {0x0c, 0xff, 0x81, 0x03}, {0x00, 0x00}} {
+		if _, err := Detect(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Detect(%x) = %v, want ErrCorrupt", data, err)
 		}
 	}
 }
@@ -270,33 +264,27 @@ func TestDetectMaxRejectsFutureVersion(t *testing.T) {
 	if _, err := DetectMax(future, MaxVersion); !errors.As(err, &vErr) || vErr.Version != 7 {
 		t.Fatalf("DetectMax(v7) = %v, want UnsupportedVersionError{7}", err)
 	}
-	// A gob-configured node (version 0) rejects even current binary frames.
-	if _, err := DetectMax(MarshalHello(1), 0); !errors.As(err, &vErr) {
-		t.Fatalf("DetectMax(v1, max 0) = %v, want UnsupportedVersionError", err)
+	// Decoding goes through the same check.
+	if err := Binary().Unmarshal(future, &allFields{}); !errors.As(err, &vErr) || vErr.Version != 7 {
+		t.Fatalf("Unmarshal(v7) = %v, want UnsupportedVersionError{7}", err)
 	}
-	// Truncated envelope is a decode error, not a silent gob fallback.
+	// Truncated envelope is a decode error.
 	if _, err := DetectMax([]byte{envelopeMagic}, MaxVersion); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("DetectMax(bare magic) = %v, want ErrTruncated", err)
 	}
 }
 
 func TestCodecLookup(t *testing.T) {
-	for name, version := range map[string]uint64{"gob": 0, "binary": 1} {
+	for _, name := range []string{"", "binary"} {
 		c, err := ByName(name)
-		if err != nil || c.Name() != name || c.Version() != version {
+		if err != nil || c != Binary() || c.Version() != MaxVersion {
 			t.Errorf("ByName(%q) = %v, %v", name, c, err)
 		}
-		c2, err := ForVersion(version)
-		if err != nil || c2.Name() != name {
-			t.Errorf("ForVersion(%d) = %v, %v", version, c2, err)
+	}
+	for _, name := range []string{"gob", "protobuf"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) succeeded", name)
 		}
-	}
-	if _, err := ByName("protobuf"); err == nil {
-		t.Error("ByName(protobuf) succeeded")
-	}
-	var vErr *UnsupportedVersionError
-	if _, err := ForVersion(9); !errors.As(err, &vErr) {
-		t.Errorf("ForVersion(9) = %v, want UnsupportedVersionError", err)
 	}
 }
 
@@ -317,59 +305,22 @@ func TestBinaryNilPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloNegotiation(t *testing.T) {
-	// binary ↔ binary commits to v1.
-	ack, err := HandleHello(MarshalHello(MaxVersion), MaxVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := ParseHelloAck(ack); err != nil || v != 1 {
-		t.Fatalf("binary↔binary negotiated v%d, %v; want 1", v, err)
-	}
-	// binary ↔ gob-configured node falls back to gob (version 0).
-	ack, err = HandleHello(MarshalHello(MaxVersion), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := ParseHelloAck(ack); err != nil || v != 0 {
-		t.Fatalf("binary↔gob negotiated v%d, %v; want 0", v, err)
-	}
-	// A future caller (v9) against this build commits to this build's max.
-	ack, err = HandleHello(MarshalHello(9), MaxVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := ParseHelloAck(ack); err != nil || v != MaxVersion {
-		t.Fatalf("v9 caller negotiated v%d, %v; want %d", v, err, MaxVersion)
-	}
-	if _, err := HandleHello([]byte("junk"), MaxVersion); err == nil {
-		t.Fatal("HandleHello accepted a non-envelope probe")
-	}
-}
-
 func TestMarshalMeasured(t *testing.T) {
 	msg := &allFields{I: 4, B: []byte("key material"), BB: [][]byte{make([]byte, 100)}, F: 1.5}
 	wantPayload := int64(12 + 100 + 8)
-	for _, c := range []Codec{Gob(), Binary()} {
-		raw, payload, err := MarshalMeasured(c, msg)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if payload != wantPayload {
-			t.Errorf("%s: payload = %d, want %d", c.Name(), payload, wantPayload)
-		}
-		if int64(len(raw)) < payload {
-			t.Errorf("%s: raw %d shorter than payload %d", c.Name(), len(raw), payload)
-		}
+	raw, payload, err := MarshalMeasured(Binary(), msg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// nil message: empty payload in both codecs.
-	for _, c := range []Codec{Gob(), Binary()} {
-		raw, payload, err := MarshalMeasured(c, nil)
-		if err != nil || payload != 0 {
-			t.Fatalf("%s nil: %v payload=%d", c.Name(), err, payload)
-		}
-		if c.Version() == 0 && raw != nil {
-			t.Errorf("gob nil payload = %x", raw)
-		}
+	if payload != wantPayload {
+		t.Errorf("payload = %d, want %d", payload, wantPayload)
+	}
+	if int64(len(raw)) < payload {
+		t.Errorf("raw %d shorter than payload %d", len(raw), payload)
+	}
+	// nil message: a bare envelope with no payload.
+	raw, payload, err = MarshalMeasured(Binary(), nil)
+	if err != nil || payload != 0 || len(raw) != 2 {
+		t.Fatalf("nil: %v payload=%d raw=%x", err, payload, raw)
 	}
 }

@@ -5,8 +5,7 @@
 #   scripts/bench_compare.sh [candidate.json] [baseline.json]
 #
 # The candidate JSON's top-level key picks the gate set; a candidate with no
-# recognized top-level key (.packed / .wire / .encrypt / .payload / .churn /
-# .soak), and any recognized section missing a key the gates read, is itself a
+# recognized top-level key (.packed / .encrypt / .payload / .churn / .soak), and any recognized section missing a key the gates read, is itself a
 # hard failure — a renamed or dropped field must never silently pass. A `.packed` result (default
 # BENCH_packed.json, freshly produced by `make bench-packed`) must uphold the
 # absolute contracts of the packed pipeline regardless of machine:
@@ -14,12 +13,6 @@
 #   * every end-to-end selection matches the scalar run exactly,
 #   * slot packing cuts ciphertext bytes by at least MIN_BYTE_REDUCTION,
 #   * CRT decryption is at least MIN_CRT_SPEEDUP over the λ/μ path.
-#
-# A `.wire` result (BENCH_wire.json, from `make bench-wire`) must show:
-#
-#   * every gob-vs-binary selection pair matching exactly,
-#   * binary total bytes strictly below gob on every pair,
-#   * Fagin framing (non-ciphertext) bytes cut by MIN_WIRE_FRAMING_REDUCTION.
 #
 # A `.encrypt` result (BENCH_encrypt.json, from `make bench-encrypt`) must
 # show:
@@ -39,9 +32,8 @@
 # A `.payload` result (BENCH_payload.json, from `make bench-payload`) must
 # show:
 #
-#   * every arm — static, adaptive, chunked, delta, full, and the
-#     mixed-codec arm that falls back to legacy whole-blob framing on the
-#     gob link — selecting the identical participant set,
+#   * every arm — static, adaptive, chunked, delta, full — selecting the
+#     identical participant set,
 #   * the fully optimized arm (adaptive pack + chunked streaming + delta
 #     cache) cutting steady-state ciphertext payload bytes by at least
 #     MIN_PAYLOAD_REDUCTION over static packing,
@@ -52,8 +44,8 @@
 #   * the in-place join paying at least MIN_CHURN_HE_REDUCTION fewer
 #     encryptions than a cold rebuild at the same final membership (the
 #     delta cache spares every survivor; the base roster is floored at 6),
-#   * every churn arm — join, leave, roster revisit, speculative TA —
-#     selecting bit-identically to its cold or serial twin,
+#   * every churn arm — join, leave, roster revisit — selecting
+#     bit-identically to its cold twin,
 #   * the roster revisit through the set-keyed similarity cache paying
 #     exactly 0 HE operations.
 #
@@ -83,7 +75,6 @@ CANDIDATE=${1:-BENCH_packed.json}
 BASELINE=${2:-}
 MIN_CRT_SPEEDUP=${MIN_CRT_SPEEDUP:-3.0}
 MIN_BYTE_REDUCTION=${MIN_BYTE_REDUCTION:-4.0}
-MIN_WIRE_FRAMING_REDUCTION=${MIN_WIRE_FRAMING_REDUCTION:-2.0}
 MIN_ENCRYPT_SPEEDUP=${MIN_ENCRYPT_SPEEDUP:-2.0}
 MIN_MONT_SPEEDUP=${MIN_MONT_SPEEDUP:-1.5}
 MIN_MONT_DECRYPT_RATIO=${MIN_MONT_DECRYPT_RATIO:-0.9}
@@ -92,7 +83,7 @@ MIN_CHURN_HE_REDUCTION=${MIN_CHURN_HE_REDUCTION:-2.0}
 TOLERANCE=${TOLERANCE:-1.5}
 
 command -v jq >/dev/null || { echo "bench_compare: jq not found" >&2; exit 1; }
-[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-packed / bench-wire / bench-encrypt)" >&2; exit 1; }
+[ -f "$CANDIDATE" ] || { echo "bench_compare: candidate $CANDIDATE not found (run make bench-packed / bench-encrypt / bench-payload / bench-churn)" >&2; exit 1; }
 
 fail=0
 say() { echo "bench_compare: $*"; }
@@ -111,37 +102,6 @@ require() {
 }
 
 recognized=0
-
-# --- wire codec gates --------------------------------------------------------
-if jq -e '.wire' "$CANDIDATE" >/dev/null 2>&1; then
-  recognized=1
-  if require '.wire.EndToEnd | length > 0' "wire end-to-end rows"; then
-    while IFS=$'\t' read -r variant packed match; do
-      if [ "$match" = "true" ]; then
-        say "selection $variant packed=$packed: binary codec selected the identical set"
-      else
-        bad "selection $variant packed=$packed: binary codec selected a DIFFERENT set"
-      fi
-    done < <(jq -r '.wire.EndToEnd[] | [.Variant, (.Packed|tostring), (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
-
-    while IFS=$'\t' read -r variant packed gob binary; do
-      if [ "$(jq -n --argjson g "$gob" --argjson b "$binary" '$b < $g')" = "true" ]; then
-        say "selection $variant packed=$packed: binary total $binary B < gob $gob B"
-      else
-        bad "selection $variant packed=$packed: binary sent $binary total bytes, gob $gob"
-      fi
-    done < <(jq -r '.wire.EndToEnd[] | [.Variant, (.Packed|tostring), (.GobBytes|tostring), (.BinaryBytes|tostring)] | @tsv' "$CANDIDATE")
-
-    require '[.wire.EndToEnd[] | select(.Variant == "fagin")] | length > 0' "fagin wire rows (framing gate)" && \
-    while IFS=$'\t' read -r packed red; do
-      if [ "$(jq -n --argjson r "$red" --argjson min "$MIN_WIRE_FRAMING_REDUCTION" '$r >= $min')" = "true" ]; then
-        say "fagin packed=$packed: framing reduction ${red}x (floor ${MIN_WIRE_FRAMING_REDUCTION}x)"
-      else
-        bad "fagin packed=$packed: framing reduction ${red}x below floor ${MIN_WIRE_FRAMING_REDUCTION}x"
-      fi
-    done < <(jq -r '.wire.EndToEnd[] | select(.Variant == "fagin") | [(.Packed|tostring), (.FramingReduction|tostring)] | @tsv' "$CANDIDATE")
-  fi
-fi
 
 # --- encryption hot-path gates -----------------------------------------------
 if jq -e '.encrypt' "$CANDIDATE" >/dev/null 2>&1; then
@@ -196,11 +156,6 @@ if jq -e '.payload' "$CANDIDATE" >/dev/null 2>&1; then
       fi
     done < <(jq -r '.payload.Arms[] | [.Name, (.SelectedMatch|tostring)] | @tsv' "$CANDIDATE")
 
-    # The mixed-codec fallback arm must be present — dropping it would turn
-    # the legacy-framing compatibility proof into a silent no-op.
-    require '[.payload.Arms[] | select(.MixedCodec == true)] | length > 0' \
-      "mixed-codec payload arm (legacy whole-blob framing fallback)" || true
-
     # Delta-cache arms must actually hit the cache; an optimization that
     # never engages would still "match" trivially.
     while IFS=$'\t' read -r arm hits; do
@@ -240,12 +195,12 @@ if jq -e '.churn' "$CANDIDATE" >/dev/null 2>&1; then
       && say "incremental join cut encryptions ${red}x (cold $cold vs join $joine, floor ${MIN_CHURN_HE_REDUCTION}x)" \
       || bad "incremental join cut encryptions only ${red}x (cold $cold vs join $joine), floor ${MIN_CHURN_HE_REDUCTION}x"
   fi
-  for arm in JoinMatch LeaveMatch RevisitMatch TAMatch; do
+  for arm in JoinMatch LeaveMatch RevisitMatch; do
     if require ".churn.${arm}" "churn identity flag ${arm}"; then
       if [ "$(jq -r ".churn.${arm}" "$CANDIDATE")" = "true" ]; then
-        say "churn arm ${arm%Match}: selected bit-identically to its cold/serial twin"
+        say "churn arm ${arm%Match}: selected bit-identically to its cold twin"
       else
-        bad "churn arm ${arm%Match}: selected a DIFFERENT set than its cold/serial twin"
+        bad "churn arm ${arm%Match}: selected a DIFFERENT set than its cold twin"
       fi
     fi
   done
@@ -254,12 +209,6 @@ if jq -e '.churn' "$CANDIDATE" >/dev/null 2>&1; then
     jq -e '.churn.RevisitHEOps == 0' "$CANDIDATE" >/dev/null \
       && say "roster revisit paid 0 HE ops through the set-keyed similarity cache" \
       || bad "roster revisit still paid $ops HE ops — the similarity cache did not engage"
-  fi
-  if require '.churn | has("TASpecWaste")' "speculative-TA waste counter"; then
-    waste=$(jq -r '.churn.TASpecWaste' "$CANDIDATE")
-    serial=$(jq -r '.churn.TASerialSeconds // "?"' "$CANDIDATE")
-    spec=$(jq -r '.churn.TASpecSeconds // "?"' "$CANDIDATE")
-    say "speculative TA: ${spec}s vs ${serial}s serial, $waste wasted decryptions surfaced in vfps_ta_speculative_waste_total"
   fi
 fi
 
@@ -313,7 +262,7 @@ fi
 
 if ! jq -e '.packed' "$CANDIDATE" >/dev/null 2>&1; then
   if [ "$recognized" -eq 0 ]; then
-    bad "candidate $CANDIDATE has no recognized top-level section (.packed / .wire / .encrypt / .payload / .churn / .soak)"
+    bad "candidate $CANDIDATE has no recognized top-level section (.packed / .encrypt / .payload / .churn / .soak)"
   fi
   if [ "$fail" -ne 0 ]; then
     echo "bench_compare: REGRESSION DETECTED" >&2

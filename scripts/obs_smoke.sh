@@ -46,7 +46,7 @@ echo "obs-smoke: driving two encrypted selections (packed, adaptive, delta-cache
 # delta cache, the second must hit it — so the cache-hit counter below carries
 # a real value, not just a declared family.
 ID=$(curl -sf -X POST "${BASE}/v1/consortiums" \
-    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","wire":"binary","pack":true,"packAdaptive":true,"chunkBytes":4096,"deltaCache":true}' \
+    -d '{"dataset":"Rice","rows":150,"parties":3,"scheme":"paillier","pack":true,"packAdaptive":true,"chunkBytes":4096,"deltaCache":true}' \
     | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 [[ -n "${ID}" ]] || { echo "obs-smoke: consortium creation failed" >&2; exit 1; }
 curl -sf -X POST "${BASE}/v1/consortiums/${ID}/select" \

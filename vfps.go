@@ -124,8 +124,7 @@ type Config struct {
 	// whenever the data allows. Requires Pack; selections stay bit-identical.
 	PackAdaptive bool
 	// ChunkBytes > 0 splits collection responses into ≤ChunkBytes ciphertext
-	// chunks on the binary codec, letting the leader pipeline chunk
-	// decryption; gob and legacy peers keep whole-blob framing.
+	// chunks, letting the leader pipeline chunk decryption.
 	ChunkBytes int
 	// DeltaCache enables cross-round delta encoding: repeat queries resend
 	// only the ciphertext blocks that changed since the previous round.
@@ -145,30 +144,16 @@ type Config struct {
 	// randomizer; see SECURITY.md on the subgroup-sampling trade-off).
 	// Selection results are bit-identical at every setting.
 	EncryptWindow int
-	// Mont selects the Paillier modular-arithmetic backend: 0 follows the
-	// process default (the Montgomery kernel of internal/mont, unless
-	// VFPS_MONT=0 in the environment), positive forces the kernel, negative
-	// forces pure math/big. Both backends compute identical residues, so
-	// selection results are bit-identical at every setting; the stdlib path
-	// exists for auditability. Ignored by the other schemes.
-	Mont int
 	// SharedPool, when non-nil, attaches this consortium's encrypting roles
 	// to a cluster-lifetime PoolSet shared with other consortiums instead of
 	// starting private pools. The caller owns the set's lifecycle
 	// (PoolSet.Close); closing the consortium leaves the shared pools
 	// running.
 	SharedPool *PoolSet
-	// Wire selects the protocol codec: "gob" (default) or "binary" (the
-	// compact versioned wire format of internal/wire). Empty falls back to
-	// the VFPS_WIRE environment variable, then "gob". Selection results are
-	// bit-identical across codecs; only bytes on the wire change.
+	// Wire names the protocol codec. The compact versioned binary format of
+	// internal/wire is the only one: "" and "binary" select it, anything
+	// else is an error.
 	Wire string
-	// SpeculateTA lets the leader's threshold-variant scan decrypt round r+1
-	// concurrently with evaluating round r's stop condition; a speculation the
-	// threshold invalidates is discarded and its decryptions are surfaced as
-	// vfps_ta_speculative_waste_total (never in the cost counters, which stay
-	// identical to the serial scan). Selections are bit-identical either way.
-	SpeculateTA bool
 	// SimCache memoises similarity reports by (roster, query set, variant, K)
 	// across this consortium's selections: a selection whose membership and
 	// parameters recur skips the encrypted similarity phase entirely. Exact —
@@ -229,10 +214,8 @@ func NewConsortium(ctx context.Context, cfg Config) (*Consortium, error) {
 		ChunkBytes:    cfg.ChunkBytes,
 		DeltaCache:    cfg.DeltaCache,
 		ShardWorkers:  cfg.ShardWorkers,
-		SpeculateTA:   cfg.SpeculateTA,
 		PackHint:      cfg.PackWidthHint,
 		EncryptWindow: cfg.EncryptWindow,
-		Mont:          cfg.Mont,
 		Pool:          cfg.SharedPool,
 		Wire:          cfg.Wire,
 		Obs:           cfg.Obs,
