@@ -30,10 +30,9 @@ import (
 //
 // The Mont* fields A/B the Montgomery kernel (internal/mont) against pure
 // math/big on three representative workloads with everything else fixed:
-// windowed encryption and ciphertext summation are modmul-bound (the kernel's
-// win — the gate asserts ≥ 1.5), CRT decryption is modexp-bound where
-// big.Int.Exp already runs Montgomery internally, so the gate only asserts
-// near-parity (ratio ≥ 0.9).
+// windowed encryption and ciphertext summation are modmul-bound (the gate
+// asserts ≥ 1.5); CRT decryption is modexp-bound, the kernel's ExpWindow
+// against big.Int.Exp's own Montgomery ladder (the gate asserts ≥ 0.9).
 type EncryptMicro struct {
 	N      int
 	Bits   int

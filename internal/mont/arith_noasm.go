@@ -4,6 +4,12 @@ package mont
 
 import "math/big"
 
-func addMulVVW(z, x []big.Word, y big.Word) big.Word {
-	return addMulVVWGo(z, x, y)
-}
+// hasADX is false off amd64: the portable loops run everywhere.
+var hasADX = false
+
+// Portable twins of the amd64 entry points, so the dispatch in mont.go
+// compiles on every GOARCH.
+
+func mulREDCAsm(z, x, y, m []big.Word, n0 big.Word) { mulREDCGo(z, x, y, m, n0) }
+
+func sqrREDCAsm(z, x, m []big.Word, n0 big.Word) { sqrREDCGo(z, x, m, n0) }

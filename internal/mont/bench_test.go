@@ -7,7 +7,8 @@ import (
 )
 
 // Benchmarks compare the kernel against the math/big operations it replaces
-// at the production widths (n² of 1024/2048-bit keys, p² of their halves).
+// at the production widths: n² of 1024/2048-bit keys (2048/4096 bits, the
+// encryption-table shape), p² of their halves, plus the CRT-decrypt shape.
 // `make bench-mont` runs these.
 
 func benchCtx(b *testing.B, bits int) (*Ctx, *big.Int, *big.Int) {
@@ -28,7 +29,7 @@ func benchCtx(b *testing.B, bits int) (*Ctx, *big.Int, *big.Int) {
 }
 
 func benchWidths(b *testing.B, f func(b *testing.B, bits int)) {
-	for _, bits := range []int{1024, 2048, 3072} {
+	for _, bits := range []int{1024, 2048, 3072, 4096} {
 		b.Run(big.NewInt(int64(bits)).String(), func(b *testing.B) { f(b, bits) })
 	}
 }
@@ -105,6 +106,28 @@ func BenchmarkBigExp(b *testing.B) {
 		z := new(big.Int)
 		b.ReportAllocs()
 		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			z.Exp(x, e, c.Mod())
+		}
+	})
+}
+
+// BenchmarkDecryptShape times one CRT-decryption half at a 2048-bit key: a
+// 2048-bit modulus (p²) raised to a 1024-bit exponent (p−1), through the
+// kernel's ExpWindow and through big.Int.Exp.
+func BenchmarkDecryptShape(b *testing.B) {
+	c, x, _ := benchCtx(b, 2048)
+	e, _ := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), 1024))
+	e.SetBit(e, 1023, 1)
+	z := new(big.Int)
+	b.Run("ExpWindow", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.ExpBig(z, x, e)
+		}
+	})
+	b.Run("BigExp", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			z.Exp(x, e, c.Mod())
 		}

@@ -147,30 +147,20 @@ func (c *Ctx) FromMont(z, x Nat) {
 	c.MulREDC(z, x, ob[:c.k])
 }
 
-// MulREDC computes z = x·y·R⁻¹ mod m by CIOS: k rows, each adding x[i]·y and
-// then m·((T[i]·n0) mod 2^W) into a sliding window of the accumulator so the
-// low limb cancels, followed by one conditional subtraction. z, x and y must
-// all be k limbs; z may alias x and/or y. The accumulator lives on the
-// stack: zero heap allocations per call.
+// MulREDC computes z = x·y·R⁻¹ mod m by CIOS: k rows, each adding x[i]·y
+// and then m·((T[i]·n0) mod 2^W) into a sliding window of the accumulator
+// so the low limb cancels, followed by one conditional subtraction. z, x and
+// y must all be k limbs; z may alias x and/or y. On amd64 with ADX the whole
+// loop is one assembly routine (arith_amd64.s); elsewhere the portable loop
+// in arith.go runs. Zero heap allocations per call.
 func (c *Ctx) MulREDC(z, x, y Nat) {
-	var tb [2*MaxLimbs + 1]big.Word
 	k := c.k
-	T := tb[: 2*k+1 : 2*k+1]
-	m := c.mod
-	n0 := c.n0
-	for i := 0; i < k; i++ {
-		c1 := addMulVVW(T[i:i+k], y, x[i])
-		mm := T[i] * n0
-		c2 := addMulVVW(T[i:i+k], m, mm)
-		// Both row carries land on T[i+k]; the carry out of that add lands on
-		// T[i+k+1], which no earlier row has written (row j touches only
-		// T[j..j+k+1]), so the plain add-in cannot overflow.
-		s, cc := bits.Add(uint(T[i+k]), uint(c1), 0)
-		s2, cc2 := bits.Add(s, uint(c2), 0)
-		T[i+k] = big.Word(s2)
-		T[i+k+1] += big.Word(cc + cc2)
+	_, _, _ = z[k-1], x[k-1], y[k-1]
+	if hasADX {
+		mulREDCAsm(z, x, y, c.mod, c.n0)
+		return
 	}
-	c.condSub(z, T)
+	mulREDCGo(z, x, y, c.mod, c.n0)
 }
 
 // SqrREDC computes z = x²·R⁻¹ mod m (SOS squaring: cross products, doubling,
@@ -178,64 +168,13 @@ func (c *Ctx) MulREDC(z, x, y Nat) {
 // MulREDC; exponentiation is squaring-dominated, so the saving compounds.
 // z may alias x.
 func (c *Ctx) SqrREDC(z, x Nat) {
-	var tb [2*MaxLimbs + 1]big.Word
 	k := c.k
-	T := tb[: 2*k+1 : 2*k+1]
-	// Cross products: T[i+j] += x[i]·x[j] over j > i. Row i's carry lands on
-	// T[i+k], untouched by earlier rows (row j < i stops at T[j+k]).
-	for i := 0; i < k-1; i++ {
-		T[i+k] += addMulVVW(T[2*i+1:i+k], x[i+1:k], x[i])
+	_, _ = z[k-1], x[k-1]
+	if hasADX {
+		sqrREDCAsm(z, x, c.mod, c.n0)
+		return
 	}
-	// Double. x² < 2^(2kW), so the doubled cross sum fits 2k limbs and the
-	// final carry out of T[2k-1] is zero.
-	var carry big.Word
-	for i := 0; i < 2*k; i++ {
-		nc := T[i] >> (bits.UintSize - 1)
-		T[i] = T[i]<<1 | carry
-		carry = nc
-	}
-	// Diagonal: x[i]² added at T[2i], T[2i+1].
-	var cc uint
-	for i := 0; i < k; i++ {
-		hi, lo := bits.Mul(uint(x[i]), uint(x[i]))
-		s0, c1 := bits.Add(uint(T[2*i]), lo, cc)
-		s1, c2 := bits.Add(uint(T[2*i+1]), hi, c1)
-		T[2*i], T[2*i+1] = big.Word(s0), big.Word(s1)
-		cc = c2
-	}
-	T[2*k] += big.Word(cc)
-	// Montgomery reduction rows. Unlike MulREDC, T above the row window
-	// already holds live squaring data, so the row carry must ripple instead
-	// of a single add-in (a saturated limb would otherwise drop the carry).
-	m := c.mod
-	n0 := c.n0
-	for i := 0; i < k; i++ {
-		mm := T[i] * n0
-		c2 := addMulVVW(T[i:i+k], m, mm)
-		s, b := bits.Add(uint(T[i+k]), uint(c2), 0)
-		T[i+k] = big.Word(s)
-		for idx := i + k + 1; b != 0 && idx <= 2*k; idx++ {
-			s, b = bits.Add(uint(T[idx]), 0, b)
-			T[idx] = big.Word(s)
-		}
-	}
-	c.condSub(z, T)
-}
-
-// condSub finishes a REDC: the result T[k..2k] is < 2m with top bit T[2k];
-// subtract m once when the value is ≥ m. Variable time, see SECURITY.md.
-func (c *Ctx) condSub(z Nat, T []big.Word) {
-	k := c.k
-	m := c.mod
-	var b uint
-	for j := 0; j < k; j++ {
-		var s uint
-		s, b = bits.Sub(uint(T[k+j]), uint(m[j]), b)
-		z[j] = big.Word(s)
-	}
-	if T[2*k] == 0 && b != 0 {
-		copy(z, T[k:2*k])
-	}
+	sqrREDCGo(z, x, c.mod, c.n0)
 }
 
 // RPow returns R^j mod m (j ≥ 1) as a plain residue, growing a lazily built

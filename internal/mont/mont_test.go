@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"math/big"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -29,11 +30,14 @@ func randMod(t testing.TB, m *big.Int) *big.Int {
 }
 
 // testWidths exercises word-aligned and straddling widths, including the
-// single-limb edge and the production Paillier widths (n² of 1024/2048-bit
-// keys, p² of their halves).
-var testWidths = []int{64, 65, 127, 128, 129, 512, 1024, 1027, 2048, 3072}
+// single-limb edge and the production Paillier widths: n² of 1024/2048-bit
+// keys (2048/4096 bits, the encryption-table shape) and p² of their halves
+// (1024/2048 bits, the CRT-decrypt shape).
+var testWidths = []int{64, 65, 127, 128, 129, 512, 1024, 1027, 2048, 3072, 4096}
 
-func TestMulREDCCrossCheck(t *testing.T) {
+func TestMulREDCCrossCheck(t *testing.T) { checkMulREDC(t) }
+
+func checkMulREDC(t *testing.T) {
 	for _, w := range testWidths {
 		m := randOdd(t, w)
 		c, err := NewCtx(m)
@@ -57,7 +61,9 @@ func TestMulREDCCrossCheck(t *testing.T) {
 	}
 }
 
-func TestSqrREDCCrossCheck(t *testing.T) {
+func TestSqrREDCCrossCheck(t *testing.T) { checkSqrREDC(t) }
+
+func checkSqrREDC(t *testing.T) {
 	for _, w := range testWidths {
 		m := randOdd(t, w)
 		c, err := NewCtx(m)
@@ -108,8 +114,10 @@ func TestSqrREDCCarryRipple(t *testing.T) {
 	}
 }
 
-func TestExpWindowCrossCheck(t *testing.T) {
-	for _, w := range []int{64, 129, 512, 1024, 2048} {
+func TestExpWindowCrossCheck(t *testing.T) { checkExpWindow(t) }
+
+func checkExpWindow(t *testing.T) {
+	for _, w := range []int{64, 129, 512, 1024, 2048, 4096} {
 		m := randOdd(t, w)
 		c, err := NewCtx(m)
 		if err != nil {
@@ -218,47 +226,122 @@ func TestCtxForCache(t *testing.T) {
 }
 
 // TestAllocsSteadyState is the allocation-count regression gate: MulREDC,
-// SqrREDC and ExpWindow must run the steady state entirely on the stack.
+// SqrREDC and ExpWindow must run the steady state entirely on the stack, in
+// every ExpWindow table class (≤32, ≤64 and ≤MaxLimbs limbs).
 func TestAllocsSteadyState(t *testing.T) {
-	m := randOdd(t, 2048) // n² width of a 1024-bit key
-	c, err := NewCtx(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y, z := c.NewNat(), c.NewNat(), c.NewNat()
-	c.ToMont(x, c.SetBig(x, randMod(t, m)))
-	c.ToMont(y, c.SetBig(y, randMod(t, m)))
-	e := randMod(t, new(big.Int).Lsh(big.NewInt(1), 256))
-	if n := testing.AllocsPerRun(100, func() { c.MulREDC(z, x, y) }); n != 0 {
-		t.Fatalf("MulREDC allocates %.1f objects per op", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { c.SqrREDC(z, x) }); n != 0 {
-		t.Fatalf("SqrREDC allocates %.1f objects per op", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { c.ExpWindow(z, x, e) }); n != 0 {
-		t.Fatalf("ExpWindow allocates %.1f objects per op", n)
+	for _, w := range []int{2048, 4096, 8000} {
+		m := randOdd(t, w)
+		c, err := NewCtx(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, y, z := c.NewNat(), c.NewNat(), c.NewNat()
+		c.ToMont(x, c.SetBig(x, randMod(t, m)))
+		c.ToMont(y, c.SetBig(y, randMod(t, m)))
+		e := randMod(t, new(big.Int).Lsh(big.NewInt(1), 256))
+		if n := testing.AllocsPerRun(100, func() { c.MulREDC(z, x, y) }); n != 0 {
+			t.Fatalf("width %d: MulREDC allocates %.1f objects per op", w, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.SqrREDC(z, x) }); n != 0 {
+			t.Fatalf("width %d: SqrREDC allocates %.1f objects per op", w, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { c.ExpWindow(z, x, e) }); n != 0 {
+			t.Fatalf("width %d: ExpWindow allocates %.1f objects per op", w, n)
+		}
 	}
 }
 
-func TestAddMulVVWGoVsAsm(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16, 33} {
-		z1 := make([]big.Word, n)
-		z2 := make([]big.Word, n)
-		x := make([]big.Word, n)
-		for i := range x {
-			x[i] = ^big.Word(0) - big.Word(i)
-			z1[i] = big.Word(i) * 0x9e3779b9
-			z2[i] = z1[i]
+// TestPortableVsAsm reruns the MulREDC/SqrREDC/ExpWindow cross-checks and
+// the carry stress on the portable loops. On amd64 with ADX every other test
+// runs the assembly kernels; without this one the fallback would go untested
+// on such machines.
+func TestPortableVsAsm(t *testing.T) {
+	saved := hasADX
+	hasADX = false
+	defer func() { hasADX = saved }()
+	checkMulREDC(t)
+	checkSqrREDC(t)
+	checkExpWindow(t)
+	checkCarryStress(t)
+}
+
+// TestREDCCarryStress drives the fused kernels through saturated limbs: the
+// all-ones modulus 2^w − 1 with operands m−1 and m−2 makes nearly every
+// product word and accumulator add carry. The limb counts cover the 8-limb
+// block path (32, 64), the single-limb tail (17, 33, 63, 65) and both. Each
+// result is checked against math/big and against the portable loops.
+func TestREDCCarryStress(t *testing.T) { checkCarryStress(t) }
+
+func checkCarryStress(t *testing.T) {
+	for _, limbs := range []int{1, 17, 32, 33, 63, 64, 65} {
+		w := limbs * bits.UintSize
+		m := new(big.Int).Lsh(big.NewInt(1), uint(w))
+		m.Sub(m, big.NewInt(1)) // every limb saturated
+		c, err := NewCtx(m)
+		if err != nil {
+			t.Fatal(err)
 		}
-		y := ^big.Word(0)
-		c1 := addMulVVWGo(z1, x, y)
-		c2 := addMulVVW(z2, x, y)
-		if c1 != c2 {
-			t.Fatalf("n=%d: carry mismatch %x vs %x", n, c1, c2)
+		// R = 2^w ≡ 1 (mod m), so a REDC is a plain modular product here.
+		// The last operand (low limb 2, every other limb 2^W − 2) makes a
+		// squaring's reduction-row carry and the previous row's deferred
+		// overflow land on the same saturated word.
+		crafted := c.NewNat()
+		crafted[0] = 2
+		for i := 1; i < limbs; i++ {
+			crafted[i] = ^big.Word(0) - 1
 		}
-		for i := range z1 {
-			if z1[i] != z2[i] {
-				t.Fatalf("n=%d limb %d: %x vs %x", n, i, z1[i], z2[i])
+		ops := []*big.Int{
+			new(big.Int).Sub(m, big.NewInt(1)),
+			new(big.Int).Sub(m, big.NewInt(2)),
+			big.NewInt(1),
+			randMod(t, m),
+			new(big.Int).Mod(c.PutBig(new(big.Int), crafted), m),
+		}
+		for _, a := range ops {
+			an := c.SetBig(c.NewNat(), a)
+			for _, b := range ops {
+				bn := c.SetBig(c.NewNat(), b)
+				want := new(big.Int).Mul(a, b)
+				want.Mod(want, m)
+				got, ref := c.NewNat(), c.NewNat()
+				c.MulREDC(got, an, bn)
+				mulREDCGo(ref, an, bn, c.mod, c.n0)
+				if g := c.PutBig(new(big.Int), got); g.Cmp(want) != 0 {
+					t.Fatalf("%d limbs: MulREDC(%x, %x) mismatch", limbs, a, b)
+				}
+				if !slices.Equal(got, ref) {
+					t.Fatalf("%d limbs: MulREDC differs from the portable loop", limbs)
+				}
+			}
+			want := new(big.Int).Mul(a, a)
+			want.Mod(want, m)
+			got, ref := c.NewNat(), c.NewNat()
+			c.SqrREDC(got, an)
+			sqrREDCGo(ref, an, c.mod, c.n0)
+			if g := c.PutBig(new(big.Int), got); g.Cmp(want) != 0 {
+				t.Fatalf("%d limbs: SqrREDC(%x) mismatch", limbs, a)
+			}
+			if !slices.Equal(got, ref) {
+				t.Fatalf("%d limbs: SqrREDC differs from the portable loop", limbs)
+			}
+		}
+	}
+}
+
+// TestWindow checks the word-level digit extraction against big.Int.Bit at
+// every window width the fixed-base tables allow, across word boundaries and
+// past the top word.
+func TestWindow(t *testing.T) {
+	e := randMod(t, new(big.Int).Lsh(big.NewInt(1), 200))
+	eb := e.Bits()
+	for w := 1; w <= 8; w++ {
+		for wi := 0; wi*w < 64*len(eb)+16; wi++ {
+			want := 0
+			for b := 0; b < w; b++ {
+				want |= int(e.Bit(wi*w+b)) << b
+			}
+			if got := Window(eb, wi, w); got != want {
+				t.Fatalf("w=%d wi=%d: got %d want %d", w, wi, got, want)
 			}
 		}
 	}

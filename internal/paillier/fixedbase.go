@@ -113,8 +113,9 @@ func (t *fbTable) exp(e *big.Int) *big.Int {
 		return t.expMont(e)
 	}
 	acc := new(big.Int).Set(one)
+	eb := e.Bits()
 	for j := range t.rows {
-		if d := t.digit(e, j); d != 0 {
+		if d := mont.Window(eb, j, t.window); d != 0 {
 			acc.Mul(acc, t.rows[j][d])
 			acc.Mod(acc, t.mod)
 		}
@@ -130,24 +131,14 @@ func (t *fbTable) expMont(e *big.Int) *big.Int {
 	var accBuf [mont.MaxLimbs]big.Word
 	acc := accBuf[:k]
 	copy(acc, ctx.One())
+	eb := e.Bits()
 	for j := range t.mrows {
-		if d := t.digit(e, j); d != 0 {
+		if d := mont.Window(eb, j, t.window); d != 0 {
 			ctx.MulREDC(acc, acc, t.mrows[j][d*k:(d+1)*k])
 		}
 	}
 	ctx.FromMont(acc, acc)
 	return ctx.PutBig(new(big.Int), acc)
-}
-
-// digit extracts e's j-th base-2^w digit.
-func (t *fbTable) digit(e *big.Int, j int) int {
-	d := 0
-	for b := 0; b < t.window; b++ {
-		if e.Bit(j*t.window+b) == 1 {
-			d |= 1 << b
-		}
-	}
-	return d
 }
 
 // crtEnc caches the constants of CRT-accelerated randomizer production for a
@@ -206,15 +197,19 @@ func (e *crtEnc) combine(xp, xq *big.Int) *big.Int {
 	return u.Add(u, xp)
 }
 
-// exp computes r^n mod n² through the two half-width moduli. The
-// exponentiations stay on big.Int.Exp regardless of the Mont knob — Exp is
-// already a Montgomery ladder internally (DESIGN.md §12) — while combine's
-// Garner multiply routes through the kernel.
+// exp computes r^n mod n² through the two half-width moduli: with the
+// kernel on, both exponentiations run its ExpWindow and combine's Garner
+// multiply its REDC; with Mont < 0, big.Int.Exp and Mul+Mod.
 func (e *crtEnc) exp(r *big.Int) *big.Int {
 	xp := new(big.Int).Mod(r, e.p2)
-	xp.Exp(xp, e.np, e.p2)
 	xq := new(big.Int).Mod(r, e.q2)
-	xq.Exp(xq, e.nq, e.q2)
+	if e.useMont() {
+		e.cp2.ExpBig(xp, xp, e.np)
+		e.cq2.ExpBig(xq, xq, e.nq)
+	} else {
+		xp.Exp(xp, e.np, e.p2)
+		xq.Exp(xq, e.nq, e.q2)
+	}
 	return e.combine(xp, xq)
 }
 

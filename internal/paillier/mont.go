@@ -6,17 +6,18 @@ import (
 	"vfps/internal/mont"
 )
 
-// The Montgomery kernel (internal/mont) replaces division-based big.Int
-// reduction on the modular-multiplication hot paths: fixed-base table
-// products (operands chained in Montgomery form across the whole windowed
-// product), Garner recombination, and ciphertext accumulation
-// (AddCipher/AddCipherInto/Sum). Plain modular exponentiations deliberately
-// stay on big.Int.Exp, which already runs an assembly Montgomery ladder
-// internally and cannot be beaten by re-entering/leaving the form per call
-// (DESIGN.md §12). Every path computes the exact same residues, so
-// ciphertexts, sums and selections are bit-identical with the kernel on or
-// off. The kernel is always on outside tests and experiments; the math/big
-// path (PublicKey.Mont < 0) is the reference it is checked against.
+// The Montgomery kernel (internal/mont) runs every hot modular loop in place
+// of math/big: fixed-base table products (operands chained in Montgomery
+// form across the whole windowed product), the CRT exponentiations of
+// decryption and of key-holder randomizer production (ExpWindow), Garner
+// recombination, and ciphertext accumulation (AddCipher/AddCipherInto/Sum).
+// On amd64 with ADX each multiply and square is one fused MULX/ADCX/ADOX
+// routine, which is what lets ExpWindow beat big.Int.Exp's own Montgomery
+// ladder at the CRT-decrypt shape (DESIGN.md §12). Every path computes the
+// exact same residues, so ciphertexts, plaintexts, sums and selections are
+// bit-identical with the kernel on or off. The kernel is always on outside
+// tests and experiments; the math/big path (PublicKey.Mont < 0) is the
+// reference it is checked against.
 
 // useMont resolves the key's Mont knob: on unless Mont is negative.
 func (pk *PublicKey) useMont() bool { return pk.Mont >= 0 }

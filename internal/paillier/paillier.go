@@ -73,7 +73,8 @@ type crtPrecomp struct {
 	hp, hq *big.Int // L_p(g^{p−1} mod p²)⁻¹ mod p, L_q(g^{q−1} mod q²)⁻¹ mod q
 	pinv   *big.Int // p⁻¹ mod q (Garner recombination)
 
-	mq *mont.Ctx // Montgomery context for q (Garner recombination multiply)
+	cp2, cq2 *mont.Ctx // Montgomery contexts for p², q² (the exponentiations)
+	mq       *mont.Ctx // Montgomery context for q (Garner recombination multiply)
 }
 
 // Precompute derives the CRT decryption constants from P and Q. It is called
@@ -102,7 +103,7 @@ func (sk *PrivateKey) Precompute() error {
 	}
 	sk.crt = &crtPrecomp{
 		p2: p2, q2: q2, ep: ep, eq: eq, hp: hp, hq: hq, pinv: pinv,
-		mq: newMontCtx(sk.Q),
+		cp2: newMontCtx(p2), cq2: newMontCtx(q2), mq: newMontCtx(sk.Q),
 	}
 	sk.crte = newCRTEnc(sk)
 	return nil
@@ -323,14 +324,19 @@ func (sk *PrivateKey) decryptRing(c *Ciphertext) *big.Int {
 	if t := sk.crt; t != nil {
 		// mp = L_p(c^{p−1} mod p²)·hp mod p, and symmetrically mod q: two
 		// half-width exponentiations with half-length exponents instead of one
-		// full-width exponentiation, ~4× cheaper in big.Int word operations.
-		// The exponentiations deliberately stay on big.Int.Exp even with the
-		// Montgomery kernel enabled: Exp already runs an assembly Montgomery
-		// ladder internally, so the kernel cannot beat it on plain modexp
-		// (DESIGN.md §12); only Garner's multiply routes through the kernel.
-		cp, cq := new(big.Int), new(big.Int)
-		cp.Exp(c.C, t.ep, t.p2)
-		cq.Exp(c.C, t.eq, t.q2)
+		// full-width exponentiation, ~4× cheaper in word operations. Both
+		// exponentiations and Garner's multiply run the Montgomery kernel
+		// (fused MULX/ADX multiply and square, DESIGN.md §12); big.Int.Exp
+		// is the Mont < 0 reference.
+		cp := new(big.Int).Mod(c.C, t.p2)
+		cq := new(big.Int).Mod(c.C, t.q2)
+		if sk.useMont() && t.cp2 != nil && t.cq2 != nil {
+			t.cp2.ExpBig(cp, cp, t.ep)
+			t.cq2.ExpBig(cq, cq, t.eq)
+		} else {
+			cp.Exp(cp, t.ep, t.p2)
+			cq.Exp(cq, t.eq, t.q2)
+		}
 		mp := lFunc(cp, sk.P)
 		mp.Mul(mp, t.hp)
 		mp.Mod(mp, sk.P)

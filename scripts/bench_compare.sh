@@ -22,9 +22,10 @@
 #     contract),
 #   * the Montgomery kernel at least MIN_MONT_SPEEDUP over pure math/big on
 #     the modmul-bound arms (windowed encryption, ciphertext summation), and
-#     no worse than MIN_MONT_DECRYPT_RATIO on the modexp-bound CRT decrypt
-#     arm (big.Int.Exp already runs Montgomery internally, so parity — not a
-#     speedup — is the contract there; see DESIGN.md §12),
+#     no worse than MIN_MONT_DECRYPT_RATIO on the CRT decrypt arm, where the
+#     kernel's ExpWindow races big.Int.Exp's own Montgomery ladder (the fused
+#     MULX/ADX routines put it ahead at 2048-bit keys; the floor only keeps
+#     the kernel from losing there; see DESIGN.md §12),
 #   * every end-to-end selection — windowed pools, shared PoolSet, and the
 #     mont-off arm proving both arithmetic backends select identically —
 #     matching the classic-sampling baseline exactly.
@@ -115,7 +116,7 @@ if jq -e '.encrypt' "$CANDIDATE" >/dev/null 2>&1; then
   fi
 
   # Montgomery kernel A/B: ≥ MIN_MONT_SPEEDUP on the modmul-bound arms,
-  # ≥ MIN_MONT_DECRYPT_RATIO (parity) on the modexp-bound decrypt arm.
+  # ≥ MIN_MONT_DECRYPT_RATIO on the CRT decrypt arm.
   for arm in MontWindowedSpeedup MontSumSpeedup; do
     if require ".encrypt.Micro.$arm" "Montgomery A/B arm $arm"; then
       v=$(jq -r ".encrypt.Micro.$arm" "$CANDIDATE")
@@ -127,8 +128,8 @@ if jq -e '.encrypt' "$CANDIDATE" >/dev/null 2>&1; then
   if require '.encrypt.Micro.MontDecryptRatio' "Montgomery A/B arm MontDecryptRatio"; then
     v=$(jq -r '.encrypt.Micro.MontDecryptRatio' "$CANDIDATE")
     jq -e --argjson min "$MIN_MONT_DECRYPT_RATIO" '.encrypt.Micro.MontDecryptRatio >= $min' "$CANDIDATE" >/dev/null \
-      && say "mont kernel CRT decrypt ratio ${v}x (parity floor ${MIN_MONT_DECRYPT_RATIO}x)" \
-      || bad "mont kernel CRT decrypt ratio ${v}x below parity floor ${MIN_MONT_DECRYPT_RATIO}x"
+      && say "mont kernel CRT decrypt ratio ${v}x (floor ${MIN_MONT_DECRYPT_RATIO}x)" \
+      || bad "mont kernel CRT decrypt ratio ${v}x below floor ${MIN_MONT_DECRYPT_RATIO}x"
   fi
 
   if require '.encrypt.EndToEnd | length > 0' "encrypt end-to-end rows"; then
